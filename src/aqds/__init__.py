@@ -4,7 +4,8 @@ Subpackages: ``gf2_hash`` (bit strings, GF(2) polynomials, LFSR-Toeplitz
 hashing), ``keymat`` (key bundles and sizing), ``protocol`` (sign/verify
 state machine pieces), ``netsim`` (deterministic round simulator),
 ``adversary`` (attack experiments), ``qkd_model`` (CW-pumped link rates and
-planners), ``baselines`` (fixed-trusted-party comparison), ``cli``.
+planners), ``baselines`` (fixed-trusted-party comparison), ``config`` (the
+INI reader and ``ConfigurationError``), ``cli``.
 """
 
 from .gf2_hash import (

@@ -122,11 +122,6 @@ def forgery_known_signature(n: int, m_bits: int, trials: int, rng: Random,
     return AttackResult(trials, successes, bound=m_bits / 2.0 ** (n - 1))
 
 
-def forgery_bound(eps_1: float, eps_2: float) -> float:
-    """Overall forgery probability: the larger of the two attack bounds."""
-    return max(eps_1, eps_2)
-
-
 def _tamper_rules(rid: str, m_bits: int, n: int, rng: Random) -> list[Rule]:
     rules = []
     for target, width in (("message", m_bits), ("signature", 2 * n)):

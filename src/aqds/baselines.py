@@ -46,27 +46,24 @@ class ExtFlowResult:
     receiver_index: int
     bundle: SignatureBundle
     receiver_verdict: VerificationOutcome
-    trusted_verdict: VerificationOutcome
 
 
 def ext_round(message: BitString, k: int, n: int, rng: Random,
               ) -> tuple[list[ExtFlowResult], ExtBaselineKeys]:
     """Run the k independent sign/verify flows of the baseline, honestly.
 
-    Returns one result per receiver (its own verdict and the trusted
-    party's) along with the drawn keys so callers can replay tampered
-    bundles against individual flows.
+    Returns one result per receiver along with the drawn keys so callers
+    can replay tampered bundles against individual flows.  An honest
+    receiver forwards its bundle unchanged and the trusted party runs the
+    same check on the same keys, so the receiver's verdict is also the
+    trusted party's.
     """
     keys = ExtBaselineKeys.draw(n, k, rng)
     results = []
     for i in range(k):
         sk = keys.session(i)
         bundle, _ = sign(message, sk, rng)
-        receiver_verdict = receiver_verify(bundle, sk)
-        # honest receiver forwards its bundle unchanged, so the trusted
-        # party re-runs the same check on the same pair
-        trusted_verdict = receiver_verify(bundle, sk)
-        results.append(ExtFlowResult(i, bundle, receiver_verdict, trusted_verdict))
+        results.append(ExtFlowResult(i, bundle, receiver_verify(bundle, sk)))
     return results, keys
 
 

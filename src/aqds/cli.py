@@ -9,28 +9,22 @@ malformed configuration.
 from __future__ import annotations
 
 import argparse
-import configparser
 import csv
 import io
 import os
 import sys
 from dataclasses import replace
-from importlib import resources
 from pathlib import Path
 from random import Random
 
 from . import adversary, netsim, qkd_model
+from .config import ConfigurationError, IniFile
 from .keymat import SecurityParams, required_n, total_consumption
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_BOUND = 3
 EXIT_CONFIG = 4
-
-
-class ConfigurationError(ValueError):
-    pass
-
 
 # ---------------------------------------------------------------------------
 # Argument helpers
@@ -49,16 +43,11 @@ def _parse_size(text: str) -> int:
     return value
 
 
-def _parse_size_list(text: str) -> list[int]:
-    return [_parse_size(x) for x in text.split(",") if x.strip()]
-
-
-def _parse_float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
-
-
-def _parse_int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
+def _comma_list(item):
+    """Argument type parsing a comma list with ``item``; blank items are skipped."""
+    def comma_list(text: str) -> list:
+        return [item(x) for x in text.split(",") if x.strip()]
+    return comma_list
 
 
 def _parse_range(text: str) -> list[float]:
@@ -73,7 +62,7 @@ def _parse_range(text: str) -> list[float]:
             out.append(round(x, 9))
             x += step
         return out
-    return _parse_float_list(text)
+    return _comma_list(float)(text)
 
 
 def _epsilon(text: str) -> float:
@@ -81,10 +70,6 @@ def _epsilon(text: str) -> float:
     if not 0.0 < value < 1.0:
         raise argparse.ArgumentTypeError("epsilon must be strictly between 0 and 1")
     return value
-
-
-def _epsilon_list(text: str) -> list[float]:
-    return [_epsilon(x) for x in text.split(",") if x.strip()]
 
 
 # ---------------------------------------------------------------------------
@@ -142,9 +127,12 @@ def cmd_sign_round(args) -> int:
     script = netsim.load_script(args.script) if args.script else None
     topology = netsim.Topology.fully_connected(args.receivers,
                                                deadline=args.deadline)
-    transcript = netsim.run_round(topology, security, script, seed=args.seed)
+    try:
+        transcript = netsim.run_round(topology, security, script, seed=args.seed)
+    except ConfigurationError as exc:  # a rule that does not fit the round's sizes
+        raise ConfigurationError(f"{args.script}: {exc}") from exc
     rows = [(rid, transcript.outcomes[rid].value, security.n,
-             transcript.consumed_bits_per_link)
+             security.bits_per_link)
             for rid in topology.receiver_ids]
     _emit(_render(["receiver", "outcome", "n", "bits_per_link"], rows,
                   args.format), args.output)
@@ -210,7 +198,11 @@ def _source_params(args) -> qkd_model.SourceParams:
         overrides["q_sift"] = args.q_sift
     if args.f_ec is not None:
         overrides["f_ec"] = args.f_ec
-    return replace(params, **overrides) if overrides else params
+    try:
+        return replace(params, **overrides)
+    except ValueError as exc:
+        flags = " ".join(f"--{key.replace('_', '-')}" for key in overrides)
+        raise ConfigurationError(f"bad {flags}: {exc}") from exc
 
 
 def cmd_curve(args) -> int:
@@ -220,6 +212,9 @@ def cmd_curve(args) -> int:
     m_bits = 8 * args.message_bytes
     rows = []
     for d in args.distance_km:
+        if not d >= 0:
+            raise ConfigurationError(
+                f"bad --distance-km: distances must be non-negative, got {d}")
         rate = qkd_model.rate_at_distance(params, d).secure_rate
         try:
             seconds = _fmt(qkd_model.time_to_sign(params, d, m_bits, args.epsilon))
@@ -231,43 +226,38 @@ def cmd_curve(args) -> int:
     return EXIT_OK
 
 
-def _load_link_keys(path: str | None):
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    cp.optionxform = str
-    if path is None:
-        text = (resources.files("aqds") / "data" / "eight_user_network.ini"
-                ).read_text()
-        cp.read_string(text)
-    elif not cp.read(path):
-        raise ConfigurationError(f"cannot read keys file {path}")
+_EIGHT_USER_NETWORK = Path(__file__).parent / "data" / "eight_user_network.ini"
+_STOCK_METADATA = {"message-bytes": int, "epsilon": float, "arbitrator-link": str}
+
+
+def _load_link_keys(path: str | Path):
+    """Scenarios, one per section; every key that is not metadata is a link."""
+    ini = IniFile(path)
     scenarios = {}
-    for name in cp.sections():
-        sec = cp[name]
-        links = {}
+    for name, sec in ini.sections.items():
         meta = {"message-bytes": 1024, "epsilon": 1e-10, "arbitrator-link": "AI"}
-        for key, val in sec.items():
-            if key in ("message-bytes",):
-                meta["message-bytes"] = int(val)
-            elif key in ("epsilon",):
-                meta["epsilon"] = float(val)
-            elif key in ("arbitrator-link",):
-                meta["arbitrator-link"] = val.strip()
+        links = {}
+        for key in sec:
+            if key in _STOCK_METADATA:
+                meta[key] = ini.value(name, key, _STOCK_METADATA[key])
             else:
-                links[key] = int(val)
+                links[key] = ini.value(name, key, int)
+        # a size no signing round can have is a configuration error
+        ini.build(name, required_n, {"m_bits": 8 * meta["message-bytes"],
+                                     "eps_f": meta["epsilon"]})
         if meta["arbitrator-link"] not in links:
-            raise ConfigurationError(
-                f"scenario {name!r} lacks its arbitrator link "
-                f"{meta['arbitrator-link']!r}")
+            raise ini.error(name, f"lacks its arbitrator link "
+                                  f"{meta['arbitrator-link']!r}")
         scenarios[name] = (meta, links)
     if not scenarios:
-        raise ConfigurationError("keys file defines no scenarios")
+        raise ConfigurationError(f"{path}: defines no scenarios")
     return scenarios
 
 
 def cmd_scenario(args) -> int:
     if args.name != "eight-user":
         raise ConfigurationError(f"unknown scenario {args.name!r}")
-    scenarios = _load_link_keys(args.keys)
+    scenarios = _load_link_keys(args.keys or _EIGHT_USER_NETWORK)
     rows = []
     for name, (meta, links) in scenarios.items():
         m_bytes = args.message_bytes or meta["message-bytes"]
@@ -322,9 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser("consumption", help="sweep total key consumption")
-    p.add_argument("--epsilon", type=_epsilon_list, default=[1e-10, 1e-14])
-    p.add_argument("--receivers", type=_parse_int_list, default=[2, 6, 10])
-    p.add_argument("--message-bytes", type=_parse_size_list,
+    p.add_argument("--epsilon", type=_comma_list(_epsilon), default=[1e-10, 1e-14])
+    p.add_argument("--receivers", type=_comma_list(int), default=[2, 6, 10])
+    p.add_argument("--message-bytes", type=_comma_list(_parse_size),
                    default=[1, 1 << 10, 1 << 20])
     _add_common(p)
     p.set_defaults(func=cmd_consumption)
@@ -360,8 +350,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, netsim.ScriptError,
-            qkd_model.InfeasibleDistanceError) as exc:
+    except (ConfigurationError, qkd_model.InfeasibleDistanceError) as exc:
         print(f"aqds: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

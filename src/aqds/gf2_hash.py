@@ -157,10 +157,6 @@ def _gcd(a: int, b: int) -> int:
     return a
 
 
-def _mulmod(a: int, b: int, m: int) -> int:
-    return _mod(_mul(a, b), m)
-
-
 # squaring over GF(2) spreads each bit to an even position; per-byte table
 _SQ_BYTE = tuple(
     sum(((byte >> i) & 1) << (2 * i) for i in range(8)) for byte in range(256))
@@ -191,27 +187,11 @@ class Gf2Poly:
         """Degree of the polynomial (-1 for the zero polynomial)."""
         return self.value.bit_length() - 1
 
-    @classmethod
-    def from_coeffs(cls, coeffs) -> Gf2Poly:
-        """Build from coefficients listed lowest power first."""
-        value = 0
-        for i, c in enumerate(coeffs):
-            if c not in (0, 1):
-                raise ValueError("coefficients must be 0 or 1")
-            value |= c << i
-        return cls(value)
-
     def coeff(self, i: int) -> int:
         return (self.value >> i) & 1 if i >= 0 else 0
 
     def __mul__(self, other: Gf2Poly) -> Gf2Poly:
         return Gf2Poly(_mul(self.value, other.value))
-
-    def __mod__(self, other: Gf2Poly) -> Gf2Poly:
-        return Gf2Poly(_mod(self.value, other.value))
-
-    def gcd(self, other: Gf2Poly) -> Gf2Poly:
-        return Gf2Poly(_gcd(self.value, other.value))
 
     def __str__(self) -> str:
         if self.value == 0:

@@ -10,7 +10,6 @@ match.
 
 from __future__ import annotations
 
-import configparser
 import hashlib
 import heapq
 from dataclasses import dataclass, field, replace
@@ -19,6 +18,7 @@ from pathlib import Path
 from random import Random
 from typing import Mapping
 
+from .config import ConfigurationError, IniFile
 from .gf2_hash import BitString
 from .keymat import KeyBundle, SecurityParams, SessionKeys, combine, distribute_keys
 from .protocol import (
@@ -32,14 +32,6 @@ from .protocol import (
     sign,
     timeout_forward_verify,
 )
-
-
-class ScriptError(ValueError):
-    """Malformed adversary script or topology configuration."""
-
-
-class SimulationComplete(Exception):
-    """Signal that the event queue is exhausted."""
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +89,6 @@ class EventKind(IntEnum):
     # precedes a delivery at t, so arrival exactly at the deadline is late
     DEADLINE_FIRE = 0
     DELIVER = 1
-    ADVERSARY_ACTION = 2
 
 
 @dataclass(frozen=True)
@@ -129,20 +120,10 @@ class EventQueue:
         return ev
 
     def advance(self) -> Event:
-        if not self._heap:
-            raise SimulationComplete
         return heapq.heappop(self._heap)[1]
-
-    def __len__(self) -> int:
-        return len(self._heap)
 
     def __bool__(self) -> bool:
         return bool(self._heap)
-
-
-def advance(queue: EventQueue) -> Event:
-    """Pop the globally minimal event; raises SimulationComplete when empty."""
-    return queue.advance()
 
 
 # ---------------------------------------------------------------------------
@@ -243,20 +224,20 @@ class Rule:
 
     def __post_init__(self) -> None:
         if self.action not in _ACTIONS:
-            raise ScriptError(f"unknown action {self.action!r}")
+            raise ConfigurationError(f"unknown action {self.action!r}")
         if self.kind is not None and self.kind not in _KINDS:
-            raise ScriptError(
+            raise ConfigurationError(
                 f"rules may only touch {_KINDS}, not {self.kind!r}")
         if self.target not in _TARGETS:
-            raise ScriptError(f"unknown tamper target {self.target!r}")
+            raise ConfigurationError(f"unknown tamper target {self.target!r}")
         if self.action == "tamper" and not self.positions:
-            raise ScriptError("tamper rule needs bit positions")
+            raise ConfigurationError("tamper rule needs bit positions")
         if any(p < 0 for p in self.positions):
-            raise ScriptError("bit positions must be non-negative")
+            raise ConfigurationError("bit positions must be non-negative")
         if self.action == "delay" and self.delta < 0:
-            raise ScriptError("delay must be non-negative")
+            raise ConfigurationError("delay must be non-negative")
         if self.action == "replace" and not self.payload_hex:
-            raise ScriptError("replace rule needs payload-hex")
+            raise ConfigurationError("replace rule needs payload-hex")
 
     def matches(self, kind: str, sender: str, receiver: str) -> bool:
         return ((self.kind is None or self.kind == kind)
@@ -281,9 +262,9 @@ class AdversaryScript:
             try:
                 raw = bytes.fromhex(rule.payload_hex)
             except ValueError as exc:
-                raise ScriptError(f"bad payload-hex: {exc}") from exc
+                raise ConfigurationError(f"bad payload-hex: {exc}") from exc
             if len(raw) != (width + 7) // 8:
-                raise ScriptError(
+                raise ConfigurationError(
                     f"replace payload is {len(raw)} bytes but the "
                     f"{rule.target} needs {(width + 7) // 8}")
 
@@ -312,68 +293,49 @@ class AdversaryScript:
 
 
 # ---------------------------------------------------------------------------
-# Config loaders (INI: key-value with sections)
+# Config loaders
 
 
-def _parser() -> configparser.ConfigParser:
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    cp.optionxform = str  # keep identifiers case-sensitive
-    return cp
+_TOPOLOGY_KEYS = {
+    "receivers": int,
+    "receiver-ids": lambda text: tuple(x.strip() for x in text.split(",") if x.strip()),
+    "signer-id": str, "arbitrator-id": str, "deadline": int, "default-delay": int}
+_RULE_KEYS = {
+    "action": str, "kind": str, "sender": str, "receiver": str, "target": str,
+    "positions": lambda text: tuple(int(x) for x in text.replace(",", " ").split()),
+    "delta": int, "payload-hex": str}
 
 
 def load_topology(path: str | Path) -> Topology:
-    cp = _parser()
-    if not cp.read(path):
-        raise ScriptError(f"cannot read topology file {path}")
-    sec = cp["topology"]
-    if "receiver-ids" in sec:
-        ids = tuple(x.strip() for x in sec["receiver-ids"].split(",") if x.strip())
-    else:
-        k = sec.getint("receivers", 0)
+    """Read ``[topology]`` and the optional ``[delays]`` (keys ``a->b``)."""
+    ini = IniFile(path)
+    kwargs = ini.fields("topology", _TOPOLOGY_KEYS)
+    ini.only_sections("topology", "delays")
+    k = kwargs.pop("receivers", 0)
+    if "receiver_ids" not in kwargs:
         if k < 1:
-            raise ScriptError("topology needs receivers or receiver-ids")
-        ids = tuple(f"r{i}" for i in range(1, k + 1))
+            raise ini.error("topology", "needs receivers or receiver-ids")
+        kwargs["receiver_ids"] = tuple(f"r{i}" for i in range(1, k + 1))
     delays = {}
-    if cp.has_section("delays"):
-        for key, val in cp["delays"].items():
-            if "->" not in key:
-                raise ScriptError(f"bad link spec {key!r}, expected a->b")
-            a, b = (s.strip() for s in key.split("->", 1))
-            delays[(a, b)] = int(val)
-    try:
-        return Topology(
-            receiver_ids=ids,
-            signer_id=sec.get("signer-id", "signer"),
-            arbitrator_id=sec.get("arbitrator-id", "arbitrator"),
-            deadline=sec.getint("deadline", 10),
-            default_delay=sec.getint("default-delay", 1),
-            delays=delays,
-        )
-    except ValueError as exc:
-        raise ScriptError(str(exc)) from exc
+    for key in ini.sections.get("delays", {}):
+        a, arrow, b = key.partition("->")
+        if not arrow:
+            raise ini.error("delays", f"bad link spec {key!r}, expected a->b")
+        delays[(a.strip(), b.strip())] = ini.value("delays", key, int)
+    return ini.build("topology", Topology, {**kwargs, "delays": delays})
 
 
 def load_script(path: str | Path) -> AdversaryScript:
-    cp = _parser()
-    if not cp.read(path):
-        raise ScriptError(f"cannot read script file {path}")
+    """Read one ``[rule...]`` section per rule, applied in file order."""
+    ini = IniFile(path)
     rules = []
-    for name in cp.sections():
+    for name in ini.sections:
         if not name.startswith("rule"):
-            raise ScriptError(f"unexpected section {name!r}")
-        sec = cp[name]
-        positions = tuple(
-            int(x) for x in sec.get("positions", "").replace(",", " ").split())
-        rules.append(Rule(
-            action=sec.get("action", ""),
-            kind=sec.get("kind", None),
-            sender=sec.get("sender", None),
-            receiver=sec.get("receiver", None),
-            target=sec.get("target", "message"),
-            positions=positions,
-            delta=sec.getint("delta", 0),
-            payload_hex=sec.get("payload-hex", None),
-        ))
+            raise ini.error(name, "unexpected section; rule sections start with 'rule'")
+        kwargs = ini.fields(name, _RULE_KEYS)
+        if "action" not in kwargs:
+            raise ini.error(name, "missing key 'action'")
+        rules.append(ini.build(name, Rule, kwargs))
     return AdversaryScript(tuple(rules))
 
 
@@ -394,14 +356,6 @@ class Transcript:
     record: RoundRecord
     signer_keys: SessionKeys
     session_keys: SessionKeys | None
-
-    @property
-    def consumed_bits_per_link(self) -> int:
-        return 3 * self.security.n
-
-    @property
-    def consumed_bits_total(self) -> int:
-        return 3 * self.security.n * (self.security.k + 1)
 
     def render(self) -> str:
         return "\n".join(self.lines) + "\n"
@@ -457,11 +411,8 @@ class _RoundRunner:
                             EventKind.DELIVER, top.signer_id, rid, Broadcast(out))
         self.queue.push(top.deadline, EventKind.DEADLINE_FIRE,
                         top.arbitrator_id, top.arbitrator_id, "deadline")
-        while True:
-            try:
-                ev = self.queue.advance()
-            except SimulationComplete:
-                break
+        while self.queue:
+            ev = self.queue.advance()
             self.last_time = max(self.last_time, ev.at)
             self._dispatch(ev)
         self._claims()

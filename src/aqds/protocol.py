@@ -125,10 +125,6 @@ class RoundRecord:
             raise ValueError("receiver ids must be distinct")
         return cls(receiver_ids=ids, deadline=deadline, arbitrator_keys=arbitrator_keys)
 
-    def on_time_ids(self) -> tuple[str, ...]:
-        return tuple(r for r in self.receiver_ids
-                     if self.verdicts.get(r) is not VerificationOutcome.TIMED_OUT)
-
     def archive_verified(self, bundle: SignatureBundle) -> None:
         if self.message is None:
             self.message = bundle.message

@@ -10,13 +10,13 @@ key stock into signing time or supported signing rounds.
 
 from __future__ import annotations
 
-import configparser
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
+from .config import IniFile
 from .keymat import required_n
 
 
@@ -74,8 +74,12 @@ class SourceParams:
             raise ValueError("either eta_tcc or t_delta must be given")
         if self.eta_tcc is not None and not 0.0 < self.eta_tcc <= 1.0:
             raise ValueError("eta_tcc must be in (0, 1]")
-        if not 0.0 < self.q_sift <= 1.0 or self.f_ec < 1.0:
-            raise ValueError("q in (0, 1] and f >= 1 required")
+        if self.eta_tcc is None:
+            window_efficiency(self.t_cc, self.t_delta)  # fail here, not at first use
+        if self.receiver_loss_db < 0 or self.alpha_db_per_km < 0:
+            raise ValueError("losses must be non-negative")
+        if not 0.0 < self.q_sift <= 1.0 or not self.f_ec >= 1.0:
+            raise ValueError("q_sift in (0, 1] and f_ec >= 1 required")
 
     @property
     def e_pol(self) -> float:
@@ -95,22 +99,17 @@ class SourceParams:
 PRESETS = {"table1": SourceParams()}
 
 
+_SOURCE_KEYS = {f.name.replace("_", "-"): float for f in fields(SourceParams)}
+
+
 def load_source_params(path: str | Path) -> SourceParams:
-    """Read a [source] section; unset keys keep their defaults."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    if not cp.read(path):
-        raise ValueError(f"cannot read parameter file {path}")
-    sec = cp["source"]
-    kwargs = {}
-    for key in ("brightness", "e_pol_a", "e_pol_b", "dark_count", "t_cc",
-                "receiver_loss_db", "eta_tcc", "t_delta", "alpha_db_per_km",
-                "q_sift", "f_ec"):
-        opt = key.replace("_", "-")
-        if opt in sec:
-            kwargs[key] = sec.getfloat(opt)
-    if "t-delta" in sec and "eta-tcc" not in sec:
+    """Read a [source] section (keys ``q-sift`` etc.); unset keys keep defaults."""
+    ini = IniFile(path)
+    kwargs = ini.fields("source", _SOURCE_KEYS)
+    ini.only_sections("source")
+    if "t_delta" in kwargs and "eta_tcc" not in kwargs:
         kwargs["eta_tcc"] = None  # derive from the given jitter instead
-    return replace(SourceParams(), **kwargs)
+    return ini.build("source", SourceParams, kwargs)
 
 
 @dataclass(frozen=True)

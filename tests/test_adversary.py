@@ -12,7 +12,6 @@ import pytest
 from aqds.adversary import (
     AttackResult,
     forgery_blind,
-    forgery_bound,
     forgery_known_signature,
     polynomial_guess_strategy,
     repudiation_experiment,
@@ -116,7 +115,6 @@ class TestForgeryKnownSignature:
 
     def test_bound_evaluation(self):
         assert forgery_known_signature(8, 16, 1, Random(0)).bound == 0.125
-        assert forgery_bound(2 ** -8, 0.125) == 0.125
 
 
 class TestRepudiation:

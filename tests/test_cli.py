@@ -1,7 +1,13 @@
 """CLI surface: flags, CSV stability, exit codes, config files."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import aqds
 from aqds.cli import EXIT_BOUND, EXIT_CONFIG, EXIT_OK, main
 
 
@@ -195,3 +201,51 @@ class TestOutputHandling:
         with pytest.raises(SystemExit) as exc:
             main(["consumption", "--frobnicate"])
         assert exc.value.code == 2
+
+
+NO_HEADER = "delta = abc\n"
+
+# (argv, config file text or None, substrings the one error line must hold);
+# "{cfg}" in argv is the written config file
+MALFORMED = [
+    (["sign-round", "--script", "{cfg}"], "[rule:a]\naction = delay\ndelta = abc\n",
+     ["'delta'"]),
+    (["sign-round", "--script", "{cfg}"], "[rule:a]\naction = tamper\npositions = 1, x\n",
+     ["'positions'"]),
+    (["sign-round", "--script", "{cfg}"], NO_HEADER, []),
+    (["sign-round", "--script", "{cfg}"], "[rule:a]\naction = replace\npayload-hex = 00\n",
+     ["replace payload"]),
+    (["scenario", "--keys", "{cfg}"], "[lab]\nAI = lots\n", ["'AI'"]),
+    (["scenario", "--keys", "{cfg}"], NO_HEADER, []),
+    (["rate-curve", "--params", "{cfg}"], "[source]\nq-sift = 7\n", ["q_sift"]),
+    (["rate-curve", "--params", "{cfg}"], "[other]\nq-sift = 0.4\n", ["[source]"]),
+    (["rate-curve", "--params", "{cfg}"], NO_HEADER, []),
+    (["rate-curve", "--q-sift", "7"], None, ["--q-sift"]),
+    (["rate-curve", "--f-ec", "0.5"], None, ["--f-ec"]),
+    (["rate-curve", "--distance-km=-50"], None, ["--distance-km"]),
+]
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("argv, text, names", MALFORMED)
+    def test_exits_4_with_one_line_and_no_traceback(self, tmp_path, argv, text,
+                                                    names):
+        cfg = tmp_path / "bad.ini"
+        if text is not None:
+            cfg.write_text(text)
+            names = [str(cfg), *names]
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, (
+                       str(Path(aqds.__file__).parent.parent),
+                       os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "aqds.cli",
+             *(a.replace("{cfg}", str(cfg)) for a in argv)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("aqds: ")
+        assert proc.stderr.count("\n") == 1
+        for name in names:
+            assert name in proc.stderr
+        assert proc.stdout == ""

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aqds.config import ConfigurationError
 from aqds.keymat import SecurityParams
 from aqds.netsim import (
     AdversaryScript,
@@ -13,10 +14,7 @@ from aqds.netsim import (
     EventKind,
     EventQueue,
     Rule,
-    ScriptError,
-    SimulationComplete,
     Topology,
-    advance,
     load_script,
     load_topology,
     run_round,
@@ -32,31 +30,34 @@ class TestEventQueue:
         q = EventQueue()
         q.push(5, EventKind.DELIVER, "a", "b", "later")
         q.push(1, EventKind.DELIVER, "a", "b", "sooner")
-        assert advance(q).payload == "sooner"
-        assert advance(q).payload == "later"
+        assert q.advance().payload == "sooner"
+        assert q.advance().payload == "later"
 
     def test_deadline_precedes_deliver_at_equal_time(self):
         q = EventQueue()
         q.push(7, EventKind.DELIVER, "a", "b", "deliver")
         q.push(7, EventKind.DEADLINE_FIRE, "arb", "arb", "deadline")
-        assert advance(q).kind is EventKind.DEADLINE_FIRE
+        assert q.advance().kind is EventKind.DEADLINE_FIRE
 
     def test_deadline_after_earlier_deliver(self):
         q = EventQueue()
         q.push(6, EventKind.DELIVER, "a", "b", "deliver")
         q.push(7, EventKind.DEADLINE_FIRE, "arb", "arb", "deadline")
-        assert advance(q).kind is EventKind.DELIVER
+        assert q.advance().kind is EventKind.DELIVER
 
     def test_sender_then_sequence_tiebreak(self):
         q = EventQueue()
         q.push(3, EventKind.DELIVER, "z", "x", "1")
         q.push(3, EventKind.DELIVER, "a", "x", "2")
         q.push(3, EventKind.DELIVER, "a", "x", "3")
-        assert [advance(q).payload for _ in range(3)] == ["2", "3", "1"]
+        assert [q.advance().payload for _ in range(3)] == ["2", "3", "1"]
 
     def test_empty_queue_signals_completion(self):
-        with pytest.raises(SimulationComplete):
-            advance(EventQueue())
+        q = EventQueue()
+        q.push(1, EventKind.DELIVER, "a", "b", "only")
+        assert q
+        q.advance()
+        assert not q
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 20), st.sampled_from(list(EventKind)),
@@ -68,7 +69,7 @@ class TestEventQueue:
         reference = sorted(events, key=lambda e: e.sort_key)
         drained = []
         while q:
-            drained.append(advance(q))
+            drained.append(q.advance())
         assert drained == reference
 
 
@@ -184,8 +185,8 @@ class TestRunRound:
 
     def test_key_accounting(self):
         t = run_round(Topology.fully_connected(3), SEC3, seed=10)
-        assert t.consumed_bits_per_link == 3 * 16
-        assert t.consumed_bits_total == 3 * 16 * 4
+        assert t.security.bits_per_link == 3 * 16
+        assert t.security.total_bits == 3 * 16 * 4
 
 
 class TestGoldenTranscript:
@@ -230,25 +231,25 @@ class TestAuthenticatedChannels:
 
     def test_script_cannot_name_protected_kinds(self):
         for kind in ("key-release", "key-request", "announce"):
-            with pytest.raises(ScriptError):
+            with pytest.raises(ConfigurationError):
                 Rule(action="drop", kind=kind)
 
 
 class TestScriptValidation:
     def test_unknown_action(self):
-        with pytest.raises(ScriptError):
+        with pytest.raises(ConfigurationError):
             Rule(action="explode")
 
     def test_tamper_needs_positions(self):
-        with pytest.raises(ScriptError):
+        with pytest.raises(ConfigurationError):
             Rule(action="tamper")
 
     def test_negative_delay(self):
-        with pytest.raises(ScriptError):
+        with pytest.raises(ConfigurationError):
             Rule(action="delay", delta=-1)
 
     def test_replace_needs_payload(self):
-        with pytest.raises(ScriptError):
+        with pytest.raises(ConfigurationError):
             Rule(action="replace")
 
     def test_replace_rewrites_component(self):
@@ -280,7 +281,13 @@ class TestConfigLoading:
     def test_topology_requires_receivers(self, tmp_path):
         cfg = tmp_path / "top.ini"
         cfg.write_text("[topology]\ndeadline = 5\n")
-        with pytest.raises(ScriptError):
+        with pytest.raises(ConfigurationError):
+            load_topology(cfg)
+
+    def test_topology_requires_topology_section(self, tmp_path):
+        cfg = tmp_path / "top.ini"
+        cfg.write_text("[delays]\nsigner->r1 = 3\n")
+        with pytest.raises(ConfigurationError, match=r"\[topology\]"):
             load_topology(cfg)
 
     def test_script_roundtrip(self, tmp_path):
@@ -297,13 +304,13 @@ class TestConfigLoading:
     def test_script_rejects_unknown_section(self, tmp_path):
         cfg = tmp_path / "script.ini"
         cfg.write_text("[attack]\naction = drop\n")
-        with pytest.raises(ScriptError):
+        with pytest.raises(ConfigurationError):
             load_script(cfg)
 
     def test_malformed_script_fails_before_any_event(self, tmp_path):
         cfg = tmp_path / "script.ini"
         cfg.write_text("[rule:bad]\naction = nonsense\n")
-        with pytest.raises(ScriptError):
+        with pytest.raises(ConfigurationError):
             load_script(cfg)
 
 
@@ -312,14 +319,14 @@ class TestSizedScriptValidation:
         script = AdversaryScript((Rule(action="replace", kind="forward",
                                        target="message", payload_hex="00"),))
         sec = SecurityParams.for_n(16, 128, 1)
-        with pytest.raises(ScriptError):
+        with pytest.raises(ConfigurationError):
             run_round(Topology.fully_connected(1), sec, script, seed=0)
 
     def test_bad_hex_fails_before_events(self):
         script = AdversaryScript((Rule(action="replace", kind="forward",
                                        target="signature", payload_hex="zz"),))
         sec = SecurityParams.for_n(16, 128, 1)
-        with pytest.raises(ScriptError):
+        with pytest.raises(ConfigurationError):
             run_round(Topology.fully_connected(1), sec, script, seed=0)
 
     def test_explicit_message_length_checked(self):

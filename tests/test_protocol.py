@@ -190,12 +190,6 @@ class TestCloseRound:
             arbitrator_close_round(record, packets, now=10,
                                    signer_key_oracle=broken)
 
-    def test_on_time_ids(self):
-        _, _, record, packets, keymap = self.setup_round(timeouts=("r1",))
-        arbitrator_close_round(record, packets, now=10,
-                               signer_key_oracle=lambda ids: keymap)
-        assert record.on_time_ids() == ("r2", "r3")
-
 
 class TestTimeoutForwardVerify:
     def closed_record(self):
