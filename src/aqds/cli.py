@@ -72,6 +72,14 @@ def _epsilon(text: str) -> float:
     return value
 
 
+def _checked(flags: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, its ValueError reported against ``flags``."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigurationError(f"bad {flags}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # Output
 
@@ -122,11 +130,11 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def cmd_sign_round(args) -> int:
-    security = SecurityParams(m_bits=8 * args.message_bytes, eps_f=args.epsilon,
-                              k=args.receivers)
+    security = _checked("--receivers", SecurityParams, m_bits=8 * args.message_bytes,
+                        eps_f=args.epsilon, k=args.receivers)
     script = netsim.load_script(args.script) if args.script else None
-    topology = netsim.Topology.fully_connected(args.receivers,
-                                               deadline=args.deadline)
+    topology = _checked("--deadline", netsim.Topology.fully_connected,
+                        args.receivers, deadline=args.deadline)
     try:
         transcript = netsim.run_round(topology, security, script, seed=args.seed)
     except ConfigurationError as exc:  # a rule that does not fit the round's sizes
@@ -144,14 +152,23 @@ def cmd_sign_round(args) -> int:
 def cmd_attack(args) -> int:
     suites = ("robustness", "forgery", "repudiation")
     chosen = suites if args.suite == "all" else (args.suite,)
+    # every suite's arguments are checked before the first one runs
+    if args.trials < 0:
+        raise ConfigurationError(f"bad --trials: must be non-negative, got {args.trials}")
+    if "forgery" in chosen and not 2 <= args.n < args.m_bits:
+        raise ConfigurationError(
+            f"bad --n/--m-bits: the forgery suite needs 2 <= n < m_bits, "
+            f"got n={args.n}, m_bits={args.m_bits}")
+    if {"robustness", "repudiation"} & set(chosen):
+        sec = _checked("--n/--m-bits/--receivers", SecurityParams.for_n,
+                       args.n, args.m_bits, args.receivers)
+        topology = netsim.Topology.fully_connected(args.receivers)
     rows = []
     ok = True
     for suite in chosen:
         rng = Random(f"{args.seed}:{suite}")
         results: list[tuple[str, adversary.AttackResult]] = []
         if suite == "robustness":
-            topology = netsim.Topology.fully_connected(args.receivers)
-            sec = SecurityParams.for_n(args.n, args.m_bits, args.receivers)
             results.append(("all-honest", adversary.robustness_experiment(
                 topology, args.trials, rng, sec)))
         elif suite == "forgery":
@@ -160,8 +177,6 @@ def cmd_attack(args) -> int:
             results.append(("known-signature", adversary.forgery_known_signature(
                 args.n, args.m_bits, args.trials, rng)))
         else:
-            topology = netsim.Topology.fully_connected(args.receivers)
-            sec = SecurityParams.for_n(args.n, args.m_bits, args.receivers)
             results.append(("inconsistent-broadcast",
                             adversary.repudiation_experiment(
                                 topology, args.trials, rng, sec)))
@@ -198,11 +213,8 @@ def _source_params(args) -> qkd_model.SourceParams:
         overrides["q_sift"] = args.q_sift
     if args.f_ec is not None:
         overrides["f_ec"] = args.f_ec
-    try:
-        return replace(params, **overrides)
-    except ValueError as exc:
-        flags = " ".join(f"--{key.replace('_', '-')}" for key in overrides)
-        raise ConfigurationError(f"bad {flags}: {exc}") from exc
+    flags = " ".join(f"--{key.replace('_', '-')}" for key in overrides)
+    return _checked(flags, replace, params, **overrides)
 
 
 def cmd_curve(args) -> int:
@@ -350,7 +362,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, qkd_model.InfeasibleDistanceError) as exc:
+    except (ConfigurationError, qkd_model.InfeasibleDistanceError,
+            qkd_model.NoSignalError) as exc:
         print(f"aqds: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -11,6 +11,7 @@ All functions are pure: random choices come from an explicitly passed
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
@@ -19,6 +20,10 @@ from typing import Iterator
 
 # ---------------------------------------------------------------------------
 # Bit strings
+
+# byte b -> b with its 8 bits in reverse order: maps between the LSB-first
+# bytes of ``int.to_bytes(..., "little")`` and the MSB-first wire format
+_BIT_REVERSE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 @dataclass(frozen=True)
@@ -57,20 +62,12 @@ class BitString:
         raw = bytes.fromhex(text)
         if len(raw) != (length + 7) // 8:
             raise ValueError("hex length does not match bit length")
-        value = 0
-        for j in range(length):
-            if (raw[j >> 3] >> (7 - (j & 7))) & 1:
-                value |= 1 << j
-        return cls(value, length)
+        value = int.from_bytes(raw.translate(_BIT_REVERSE), "little")
+        return cls(value & ((1 << length) - 1), length)  # padding bits ignored
 
     def to_bytes(self) -> bytes:
-        out = bytearray((self.length + 7) // 8)
-        v = self.value
-        while v:
-            j = (v & -v).bit_length() - 1
-            out[j >> 3] |= 0x80 >> (j & 7)
-            v &= v - 1
-        return bytes(out)
+        raw = self.value.to_bytes((self.length + 7) // 8, "little")
+        return raw.translate(_BIT_REVERSE)
 
     def to_hex(self) -> str:
         return self.to_bytes().hex()
@@ -291,13 +288,14 @@ def lfsr_stream(p: Gf2Poly, seed: BitString, count: int) -> BitString:
     if count <= n:
         return BitString(seed.value & ((1 << count) - 1), count)
     taps = p.value & mask
-    out = seed.value
     window = seed.value
-    for j in range(count - n):
+    bits = []
+    for _ in range(count - n):
         nxt = (window & taps).bit_count() & 1
         window = (window >> 1) | (nxt << (n - 1))
-        out |= nxt << (n + j)
-    return BitString(out, count)
+        bits.append("01"[nxt])
+    bits.reverse()  # most significant (latest) bit first, as int() reads it
+    return BitString(seed.value | int("".join(bits), 2) << n, count)
 
 
 @dataclass(frozen=True)
@@ -308,6 +306,18 @@ class LfsrToeplitzHasher:
     M_j = 1, of the n-bit keystream window (s_j, ..., s_{j+n-1}); equivalent
     to multiplying M by the n x m Toeplitz matrix whose rows are keystream
     windows.
+
+    ``hash`` never materialises the keystream.  Let L be the linear map on
+    polynomials of degree < n with L(x^i) = s_i, i.e. L(a) = parity(a & seed).
+    The recurrence s_{j+n} = sum c_i s_{j+i} is reduction by p, so
+    s_j = L(x^j mod p) for every j, and tag bit i is
+
+        sum_j M_j s_{i+j} = L(x^i * M(x) mod p),   M(x) = sum_j M_j x^j.
+
+    One Horner pass over the message computes R = M(x) mod p, then n
+    multiply-by-x steps read off the tag, so the cost is linear in m rather
+    than one m-bit stream shift per set message bit (Krawczyk, "LFSR-based
+    hashing and authentication", CRYPTO '94).
     """
 
     poly: Gf2Poly
@@ -328,15 +338,21 @@ class LfsrToeplitzHasher:
         if m < 1:
             raise ValueError("message must be non-empty")
         n = self.n
-        stream = lfsr_stream(self.poly, self.seed, m + n - 1).value
-        mask = (1 << n) - 1
-        acc = 0
-        v = message.value
-        while v:
-            j = (v & -v).bit_length() - 1
-            acc ^= (stream >> j) & mask
-            v &= v - 1
-        return BitString(acc, n)
+        p = self.poly.value
+        seed = self.seed.value
+        # R = M(x) mod p by Horner over 64-bit words, most significant first
+        raw = message.value.to_bytes((m + 63) // 64 * 8, "big")
+        r = 0
+        for (word,) in struct.iter_unpack(">Q", raw):
+            r = _mod(r << 64 | word, p)
+        # tag bit i = L(x^i R mod p)
+        tag = 0
+        for i in range(n):
+            tag |= ((r & seed).bit_count() & 1) << i
+            r <<= 1
+            if r >> n:
+                r ^= p
+        return BitString(tag, n)
 
 
 def toeplitz_oracle(p: Gf2Poly, seed: BitString, msg: BitString) -> BitString:

@@ -223,6 +223,10 @@ MALFORMED = [
     (["rate-curve", "--q-sift", "7"], None, ["--q-sift"]),
     (["rate-curve", "--f-ec", "0.5"], None, ["--f-ec"]),
     (["rate-curve", "--distance-km=-50"], None, ["--distance-km"]),
+    (["sign-round", "--receivers", "0"], None, ["--receivers"]),
+    (["sign-round", "--receivers", "-2"], None, ["--receivers"]),
+    (["sign-round", "--deadline", "0"], None, ["--deadline"]),
+    (["attack", "--n", "1", "--suite", "forgery"], None, ["--n"]),
 ]
 
 
@@ -249,3 +253,13 @@ class TestMalformedInput:
         for name in names:
             assert name in proc.stderr
         assert proc.stdout == ""
+
+    def test_no_signal_source_exits_4(self, capsys, tmp_path):
+        # a source with neither pairs nor dark counts has no coincidences,
+        # so its error rate is undefined at every distance
+        cfg = tmp_path / "dark.ini"
+        cfg.write_text("[source]\nbrightness = 0\ndark-count = 0\n")
+        assert main(["rate-curve", "--params", str(cfg)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "aqds: no coincidences; QBER undefined\n"

@@ -4,7 +4,7 @@ import math
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aqds.gf2_hash import (
@@ -71,6 +71,26 @@ class TestBitString:
         a = BitString(raw % (1 << length), length)
         b = BitString((raw * 31) % (1 << length), length)
         assert a ^ b ^ b == a
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 300), st.data())
+    def test_hex_roundtrip_any_length(self, length, data):
+        b = BitString(data.draw(st.integers(0, (1 << length) - 1)), length)
+        text = b.to_hex()
+        assert len(text) == 2 * ((length + 7) // 8)
+        assert BitString.from_hex(text, length) == b
+        # bit j is the (j mod 8)-th most significant bit of byte j // 8
+        raw = bytes.fromhex(text)
+        assert all((raw[j >> 3] >> (7 - (j & 7))) & 1 == b[j] for j in range(length))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 300).filter(lambda n: n % 8), st.data())
+    def test_from_hex_ignores_padding_bits(self, length, data):
+        b = BitString(data.draw(st.integers(0, (1 << length) - 1)), length)
+        pad = data.draw(st.integers(1, (1 << (8 - length % 8)) - 1))
+        raw = bytearray(b.to_bytes())
+        raw[-1] |= pad  # set some of the unused low bits of the last byte
+        assert BitString.from_hex(raw.hex(), length) == b
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +221,18 @@ class TestLfsrStream:
         with pytest.raises(ValueError):
             lfsr_stream(X2_X_1, BitString.zeros(3), 5)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 40), st.integers(0, 400), st.integers(0, 2**32))
+    def test_matches_literal_recurrence(self, n, count, seed):
+        rng = Random(seed)
+        p, _ = sample_irreducible(n, rng)
+        key = BitString.random(n, rng)
+        s = list(key)[:count]
+        while len(s) < count:
+            j = len(s) - n
+            s.append(sum(p.coeff(i) * s[j + i] for i in range(n)) % 2)
+        assert lfsr_stream(p, key, count) == BitString.from_bits(s)
+
 
 # ---------------------------------------------------------------------------
 # Hash vs oracle
@@ -274,6 +306,45 @@ class TestHash:
         m1 = BitString.random(m, rng)
         m2 = BitString.random(m, rng)
         assert hasher.hash(m1 ^ m2) == hasher.hash(m1) ^ hasher.hash(m2)
+
+
+def _random_hasher(n, seed):
+    rng = Random(seed)
+    p, _ = sample_irreducible(n, rng)
+    return LfsrToeplitzHasher(p, BitString.random(n, rng)), rng
+
+
+class TestHashProperties:
+    """The Horner fast path against the oracle around its 64-bit word edges."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 40), st.integers(1, 300), st.integers(0, 2**32))
+    @example(40, 63, 1)
+    @example(40, 64, 2)
+    @example(40, 65, 3)
+    @example(2, 64, 4)
+    def test_matches_oracle(self, n, m, seed):
+        hasher, rng = _random_hasher(n, seed)
+        msg = BitString.random(m, rng)
+        assert hasher.hash(msg) == toeplitz_oracle(hasher.poly, hasher.seed, msg)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 40), st.integers(1, 300), st.integers(0, 2**32))
+    def test_linearity(self, n, m, seed):
+        hasher, rng = _random_hasher(n, seed)
+        m1 = BitString.random(m, rng)
+        m2 = BitString.random(m, rng)
+        assert hasher.hash(m1 ^ m2) == hasher.hash(m1) ^ hasher.hash(m2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 40), st.integers(1, 300), st.integers(1, 200),
+           st.integers(0, 2**32))
+    def test_prefix_property(self, n, m, extra, seed):
+        # the n x m matrix is the first m columns of the n x (m + extra) one,
+        # so trailing zero bits leave the tag unchanged
+        hasher, rng = _random_hasher(n, seed)
+        msg = BitString.random(m, rng)
+        assert hasher.hash(msg.concat(BitString.zeros(extra))) == hasher.hash(msg)
 
 
 class TestCollisionBound:
