@@ -11,7 +11,7 @@ import sys
 
 from aqds.baselines import comparison_table
 from aqds.cli import main as cli_main
-from aqds.keymat import required_n
+from aqds.keymat import link_bits, required_n
 
 
 def show_comparison(as_csv: bool) -> None:
@@ -34,7 +34,7 @@ def show_comparison(as_csv: bool) -> None:
 def show_network() -> None:
     n = required_n(2 ** 13, 1e-10)
     print(f"Eight-user network, 1 KB messages, eps = 1e-10 (n = {n}, "
-          f"{3 * n} bits per round and link)")
+          f"{link_bits(2 ** 13, 1e-10)} bits per round and link)")
     cli_main(["scenario", "--format", "table"])
     print()
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from random import Random
 
 from .gf2_hash import BitString
-from .keymat import KeyBundle, SessionKeys, required_n
+from .keymat import KeyBundle, SessionKeys, required_n, total_consumption
 from .protocol import SignatureBundle, VerificationOutcome, receiver_verify, sign
 
 
@@ -109,8 +109,8 @@ def comparison_table(scenarios=DEFAULT_SCENARIOS) -> list[ComparisonRow]:
                                   k, m_bits, eps_f, ext_consumption(k, n) / 1000.0,
                                   "computed"))
     for k, m_bits, eps_f in scenarios:
-        n = required_n(m_bits, eps_f)
         rows.append(ComparisonRow("arbitrated multi-receiver (this package)",
-                                  k, m_bits, eps_f, 3 * n * (k + 1) / 1000.0,
+                                  k, m_bits, eps_f,
+                                  total_consumption(m_bits, eps_f, k) / 1000.0,
                                   "computed"))
     return rows

@@ -19,7 +19,7 @@ from random import Random
 
 from . import adversary, netsim, qkd_model
 from .config import ConfigurationError, IniFile
-from .keymat import SecurityParams, required_n, total_consumption
+from .keymat import SecurityParams, link_bits, required_n, total_consumption
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -196,8 +196,8 @@ def cmd_consumption(args) -> int:
     for m_bytes in sorted(args.message_bytes):
         for eps in sorted(args.epsilon):
             for k in sorted(args.receivers):
-                rows.append((m_bytes, eps, k,
-                             total_consumption(8 * m_bytes, eps, k)))
+                rows.append((m_bytes, eps, k, _checked(
+                    "--receivers", total_consumption, 8 * m_bytes, eps, k)))
     _emit(_render(["m_bytes", "eps", "k", "bits"], rows, args.format),
           args.output)
     return EXIT_OK
@@ -275,7 +275,7 @@ def cmd_scenario(args) -> int:
         m_bytes = args.message_bytes or meta["message-bytes"]
         eps = args.epsilon or meta["epsilon"]
         m_bits = 8 * m_bytes
-        per_round = 3 * required_n(m_bits, eps)
+        per_round = link_bits(m_bits, eps)
         bottleneck = min(links, key=lambda link: (links[link], link))
         rounds = qkd_model.supported_rounds(list(links.values()), m_bits, eps)
         rows.append((name, m_bytes, eps, bottleneck, links[bottleneck],

@@ -98,11 +98,16 @@ def required_n(m_bits: int, eps_f: float) -> int:
     return n
 
 
+def link_bits(m_bits: int, eps_f: float) -> int:
+    """Key bits one signing round costs each link: 3n (2n pad, n seed)."""
+    return 3 * required_n(m_bits, eps_f)
+
+
 def total_consumption(m_bits: int, eps_f: float, k: int) -> int:
     """Total key bits across all links for one signing round: 3n(k+1)."""
     if k < 0:
         raise ValueError("receiver count must be non-negative")
-    return 3 * required_n(m_bits, eps_f) * (k + 1)
+    return link_bits(m_bits, eps_f) * (k + 1)
 
 
 @dataclass(frozen=True)
@@ -142,4 +147,4 @@ class SecurityParams:
 
     @property
     def total_bits(self) -> int:
-        return 3 * self.n * (self.k + 1)
+        return self.bits_per_link * (self.k + 1)

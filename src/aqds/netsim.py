@@ -75,9 +75,8 @@ class Topology:
         return self.default_delay
 
     @classmethod
-    def fully_connected(cls, k: int, deadline: int = 10, default_delay: int = 1) -> Topology:
-        return cls(tuple(f"r{i}" for i in range(1, k + 1)),
-                   deadline=deadline, default_delay=default_delay)
+    def fully_connected(cls, k: int, deadline: int = 10) -> Topology:
+        return cls(tuple(f"r{i}" for i in range(1, k + 1)), deadline=deadline)
 
 
 # ---------------------------------------------------------------------------
@@ -249,10 +248,6 @@ class Rule:
 class AdversaryScript:
     rules: tuple[Rule, ...] = ()
 
-    @classmethod
-    def none(cls) -> AdversaryScript:
-        return cls()
-
     def validate_sized(self, m_bits: int, sig_bits: int) -> None:
         """Reject size-dependent rule problems before any event runs."""
         for rule in self.rules:
@@ -364,7 +359,7 @@ class Transcript:
 class _RoundRunner:
     def __init__(self, topology: Topology, security: SecurityParams,
                  script: AdversaryScript, seed: int, round_id: int,
-                 message: BitString | None, claim_timeouts: bool) -> None:
+                 message: BitString | None) -> None:
         if topology.k != security.k:
             raise ValueError("topology and security params disagree on k")
         script.validate_sized(security.m_bits, 2 * security.n)
@@ -372,7 +367,6 @@ class _RoundRunner:
         self.sec = security
         self.script = script
         self.round_id = round_id
-        self.claim_timeouts = claim_timeouts
         self.rng = Random(seed)
 
         bundles, self.arb_bundle = distribute_keys(security.n, security.k, self.rng)
@@ -390,7 +384,6 @@ class _RoundRunner:
         self.lines: list[str] = []
         self.receiver_copy: dict[str, SignatureBundle] = {}
         self.packets: dict[str, ForwardPacket] = {}
-        self.fetched: dict[str, KeyBundle] = {}
         self.announcements: dict[str, VerificationOutcome] = {}
         self.session: SessionKeys | None = None
         self.closed = False
@@ -451,8 +444,7 @@ class _RoundRunner:
                             self.top.arbitrator_id, keys)
         elif isinstance(payload, KeyResponse):
             self._log("deliver:key-response", ev.sender, ev.receiver, ev.at, payload)
-            self.fetched = dict(payload.keys)
-            self._finish_close(ev.at)
+            self._finish_close(ev.at, dict(payload.keys))
         elif isinstance(payload, KeyRelease):
             self._log("deliver:key-release", ev.sender, ev.receiver, ev.at, payload)
             self._on_key_release(ev.receiver, payload.session, ev.at)
@@ -484,13 +476,12 @@ class _RoundRunner:
             self.queue.push(now + d, EventKind.DELIVER, top.arbitrator_id,
                             top.signer_id, KeyRequest(tuple(timeouts)))
         else:
-            self._finish_close(now)
+            self._finish_close(now, {})
 
-    def _finish_close(self, now: int) -> None:
+    def _finish_close(self, now: int, fetched: Mapping[str, KeyBundle]) -> None:
         top = self.top
         self.session = arbitrator_close_round(
-            self.record, list(self.packets.values()), now,
-            lambda ids: {r: self.fetched[r] for r in ids})
+            self.record, list(self.packets.values()), now, fetched)
         for rid in top.receiver_ids:
             if self.record.verdicts.get(rid) is VerificationOutcome.TIMED_OUT:
                 self._log("verdict", top.arbitrator_id, rid, now,
@@ -521,8 +512,6 @@ class _RoundRunner:
 
     def _claims(self) -> None:
         self.claims: dict[str, bool] = {}
-        if not self.claim_timeouts:
-            return
         top = self.top
         for rid in top.receiver_ids:
             if (self.record.verdicts.get(rid) is VerificationOutcome.TIMED_OUT
@@ -537,13 +526,12 @@ class _RoundRunner:
 
 def run_round(topology: Topology, security: SecurityParams,
               script: AdversaryScript | None = None, seed: int = 0,
-              round_id: int = 0, message: BitString | None = None,
-              claim_timeouts: bool = True) -> Transcript:
+              round_id: int = 0, message: BitString | None = None) -> Transcript:
     """Execute one full round and return its transcript.
 
     The transcript (event lines, verdicts, claims) is a deterministic
     function of the arguments; malformed scripts fail before any event runs.
     """
-    runner = _RoundRunner(topology, security, script or AdversaryScript.none(),
-                          seed, round_id, message, claim_timeouts)
+    runner = _RoundRunner(topology, security, script or AdversaryScript(),
+                          seed, round_id, message)
     return runner.run()

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from random import Random
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .gf2_hash import BitString, LfsrToeplitzHasher, decode_poly, sample_irreducible
 from .keymat import KeyBundle, SessionKeys, combine
@@ -75,9 +75,8 @@ def sign(message: BitString, sk: SessionKeys, rng: Random) -> tuple[SignatureBun
     return SignatureBundle(message, sk.xs ^ digest), r_s
 
 
-def _verify(bundle: SignatureBundle, sk: SessionKeys) -> VerificationOutcome:
-    # Receiver and arbitrator run the same check, so their verdicts on
-    # identical inputs are identical by construction.
+def receiver_verify(bundle: SignatureBundle, sk: SessionKeys) -> VerificationOutcome:
+    """Receiver-side check of the broadcast bundle against the released keys."""
     if bundle.signature.length != sk.xs.length:
         return VerificationOutcome.INVALID
     n = sk.n
@@ -91,14 +90,13 @@ def _verify(bundle: SignatureBundle, sk: SessionKeys) -> VerificationOutcome:
     return VerificationOutcome.REJECTED
 
 
-def receiver_verify(bundle: SignatureBundle, sk: SessionKeys) -> VerificationOutcome:
-    """Receiver-side check of the broadcast bundle against the released keys."""
-    return _verify(bundle, sk)
-
-
 def arbitrator_verify(packet: ForwardPacket, sk: SessionKeys) -> VerificationOutcome:
-    """Arbitrator-side check of a forwarded (possibly tampered) bundle."""
-    return _verify(packet.bundle, sk)
+    """Arbitrator-side check of a forwarded (possibly tampered) bundle.
+
+    It runs the receiver's check on the forwarded bundle, so receiver and
+    arbitrator verdicts on identical inputs are identical by construction.
+    """
+    return receiver_verify(packet.bundle, sk)
 
 
 @dataclass
@@ -135,14 +133,15 @@ def arbitrator_close_round(
     record: RoundRecord,
     packets: Sequence[ForwardPacket],
     now: int,
-    signer_key_oracle: Callable[[Sequence[str]], Mapping[str, KeyBundle]],
+    fetched: Mapping[str, KeyBundle],
 ) -> SessionKeys:
     """Close the collection window and combine the verification keys.
 
     Packets sent by the deadline contribute their keys; receivers without
-    one are marked timed out and their keys are fetched from the signer
-    over the authenticated channel.  Session keys are later released only
-    to the on-time receivers.
+    one are marked timed out and take their keys from ``fetched``, the
+    keys the arbitrator fetched from the signer over the authenticated
+    channel.  A timed-out receiver missing from ``fetched`` aborts the
+    round.  Session keys are later released only to the on-time receivers.
     """
     if now < record.deadline:
         raise ValueError("cannot close before the deadline")
@@ -150,15 +149,13 @@ def arbitrator_close_round(
         if p.receiver_id in record.receiver_ids and p.sent_at <= record.deadline:
             record.key_set.setdefault(p.receiver_id, p.keys)
     timeouts = [r for r in record.receiver_ids if r not in record.key_set]
-    if timeouts:
-        try:
-            supplied = signer_key_oracle(timeouts)
-            fetched = {r: supplied[r] for r in timeouts}
-        except Exception as exc:
-            raise RoundAbortError(f"signer did not supply timeout keys: {exc}") from exc
-        record.key_set.update(fetched)
-        for r in timeouts:
-            record.verdicts[r] = VerificationOutcome.TIMED_OUT
+    missing = [r for r in timeouts if r not in fetched]
+    if missing:
+        raise RoundAbortError(
+            f"signer did not supply timeout keys for {', '.join(missing)}")
+    for r in timeouts:
+        record.key_set[r] = fetched[r]
+        record.verdicts[r] = VerificationOutcome.TIMED_OUT
     ordered = [record.key_set[r] for r in record.receiver_ids]
     return combine(ordered, record.arbitrator_keys)
 

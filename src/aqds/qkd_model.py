@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .config import IniFile
-from .keymat import required_n
+from .keymat import link_bits
 
 
 class NoSignalError(ValueError):
@@ -173,26 +173,25 @@ def rate(params: SourceParams, budget: LinkBudget) -> RateResult:
     return RateResult(cc_true, cc_acc, cc_measured, cc_err, qber, max(secure, 0.0))
 
 
-def rate_at_distance(params: SourceParams, distance_km: float,
-                     alpha_db_per_km: float | None = None) -> RateResult:
+def rate_at_distance(params: SourceParams, distance_km: float) -> RateResult:
     """Rate with the source at the midpoint of a signer-user fiber span."""
-    alpha = params.alpha_db_per_km if alpha_db_per_km is None else alpha_db_per_km
-    budget = LinkBudget.midpoint_source(distance_km, alpha, params.receiver_loss_db)
+    budget = LinkBudget.midpoint_source(distance_km, params.alpha_db_per_km,
+                                        params.receiver_loss_db)
     return rate(params, budget)
 
 
 def time_to_sign(params: SourceParams, distance_km: float, m_bits: int,
-                 eps_f: float, alpha_db_per_km: float | None = None) -> float:
+                 eps_f: float) -> float:
     """Seconds of key generation needed per signing round at this distance.
 
     One round costs 3n bits on each link and all links run in parallel, so
     the wait is 3n over the per-link secure rate.
     """
-    result = rate_at_distance(params, distance_km, alpha_db_per_km)
+    result = rate_at_distance(params, distance_km)
     if result.secure_rate <= 0.0:
         raise InfeasibleDistanceError(
             f"secure rate is zero at {distance_km} km")
-    return 3.0 * required_n(m_bits, eps_f) / result.secure_rate
+    return link_bits(m_bits, eps_f) / result.secure_rate
 
 
 def supported_rounds(key_bits_per_link: Sequence[int], m_bits: int,
@@ -200,5 +199,4 @@ def supported_rounds(key_bits_per_link: Sequence[int], m_bits: int,
     """Signing rounds the bottleneck link's key stock can fund."""
     if not key_bits_per_link:
         raise ValueError("need at least one link key stock")
-    per_round = 3 * required_n(m_bits, eps_f)
-    return min(key_bits_per_link) // per_round
+    return min(key_bits_per_link) // link_bits(m_bits, eps_f)

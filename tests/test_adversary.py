@@ -101,7 +101,7 @@ class TestForgeryKnownSignature:
         sk = SessionKeys(BitString.random(20, rng), BitString.random(10, rng))
         from aqds.protocol import sign
         bundle, _ = sign(BitString.random(32, rng), sk, rng)
-        forged = polynomial_guess_strategy(bundle, [], rng)
+        forged = polynomial_guess_strategy(bundle, rng)
         assert forged.signature == bundle.signature
         assert forged.message != bundle.message
 
@@ -111,7 +111,7 @@ class TestForgeryKnownSignature:
         from aqds.protocol import sign
         bundle, _ = sign(BitString.random(8, rng), sk, rng)
         with pytest.raises(ValueError):
-            polynomial_guess_strategy(bundle, [], rng)
+            polynomial_guess_strategy(bundle, rng)
 
     def test_bound_evaluation(self):
         assert forgery_known_signature(8, 16, 1, Random(0)).bound == 0.125

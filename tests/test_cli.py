@@ -227,6 +227,7 @@ MALFORMED = [
     (["sign-round", "--receivers", "-2"], None, ["--receivers"]),
     (["sign-round", "--deadline", "0"], None, ["--deadline"]),
     (["attack", "--n", "1", "--suite", "forgery"], None, ["--n"]),
+    (["consumption", "--receivers=-1"], None, ["--receivers"]),
 ]
 
 

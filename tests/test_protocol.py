@@ -152,17 +152,13 @@ class TestCloseRound:
 
     def test_all_on_time_matches_signer(self):
         sk, _, record, packets, _ = self.setup_round()
-        def oracle(ids):
-            raise AssertionError("no timeout keys should be needed")
-        session = arbitrator_close_round(record, packets, now=10,
-                                         signer_key_oracle=oracle)
+        session = arbitrator_close_round(record, packets, now=10, fetched={})
         assert session == sk
 
     def test_timeout_key_fetched_same_session(self):
         sk, _, record, packets, keymap = self.setup_round(timeouts=("r2",))
-        session = arbitrator_close_round(
-            record, packets, now=10,
-            signer_key_oracle=lambda ids: {r: keymap[r] for r in ids})
+        session = arbitrator_close_round(record, packets, now=10,
+                                         fetched={"r2": keymap["r2"]})
         assert session == sk
         assert record.verdicts["r2"] is VerificationOutcome.TIMED_OUT
         assert set(record.key_set) == {"r1", "r2", "r3"}
@@ -170,32 +166,26 @@ class TestCloseRound:
     def test_late_sent_packet_not_counted(self):
         sk, bundle, record, packets, keymap = self.setup_round(timeouts=("r3",))
         late = ForwardPacket("r3", bundle, keymap["r3"], sent_at=11)
-        session = arbitrator_close_round(
-            record, packets + [late], now=12,
-            signer_key_oracle=lambda ids: {r: keymap[r] for r in ids})
+        session = arbitrator_close_round(record, packets + [late], now=12,
+                                         fetched={"r3": keymap["r3"]})
         assert record.verdicts["r3"] is VerificationOutcome.TIMED_OUT
         assert session == sk
 
     def test_cannot_close_early(self):
         _, _, record, packets, _ = self.setup_round()
         with pytest.raises(ValueError):
-            arbitrator_close_round(record, packets, now=9,
-                                   signer_key_oracle=lambda ids: {})
+            arbitrator_close_round(record, packets, now=9, fetched={})
 
-    def test_oracle_failure_aborts(self):
+    def test_missing_timeout_key_aborts(self):
         _, _, record, packets, _ = self.setup_round(timeouts=("r1",))
-        def broken(ids):
-            raise KeyError("signer unreachable")
-        with pytest.raises(RoundAbortError):
-            arbitrator_close_round(record, packets, now=10,
-                                   signer_key_oracle=broken)
+        with pytest.raises(RoundAbortError, match="r1"):
+            arbitrator_close_round(record, packets, now=10, fetched={})
 
 
 class TestTimeoutForwardVerify:
     def closed_record(self):
         sk, bundle, record, packets, keymap = TestCloseRound().setup_round()
-        arbitrator_close_round(record, packets, now=10,
-                               signer_key_oracle=lambda ids: keymap)
+        arbitrator_close_round(record, packets, now=10, fetched=keymap)
         record.archive_verified(bundle)
         return record, bundle, keymap
 
@@ -216,6 +206,5 @@ class TestTimeoutForwardVerify:
 
     def test_no_archived_signature_rejects(self):
         _, bundle, record, packets, keymap = TestCloseRound().setup_round()
-        arbitrator_close_round(record, packets, now=10,
-                               signer_key_oracle=lambda ids: keymap)
+        arbitrator_close_round(record, packets, now=10, fetched=keymap)
         assert timeout_forward_verify(record, bundle, keymap["r1"]) is False
