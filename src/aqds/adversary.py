@@ -111,7 +111,7 @@ def forgery_known_signature(n: int, m_bits: int, trials: int, rng: Random,
         forged = polynomial_guess_strategy(bundle, rng)
         if receiver_verify(forged, sk) is VerificationOutcome.ACCEPTED:
             successes += 1
-    return AttackResult(trials, successes, bound=m_bits / 2.0 ** (n - 1))
+    return AttackResult(trials, successes, bound=math.ldexp(m_bits, 1 - n))
 
 
 def _tamper_rules(rid: str, m_bits: int, n: int, rng: Random) -> list[Rule]:

@@ -11,15 +11,16 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 from random import Random
 
-from . import adversary, netsim, qkd_model
-from .config import ConfigurationError, IniFile
-from .keymat import SecurityParams, link_bits, required_n, total_consumption
+from . import adversary, baselines, netsim, qkd_model
+from .config import ConfigurationError
+from .keymat import SecurityParams, link_bits, total_consumption
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -50,15 +51,24 @@ def _comma_list(item):
     return comma_list
 
 
+# far above the paper's 51-point sweeps; a tiny step must not exhaust memory
+_MAX_RANGE_POINTS = 10_000
+
+
 def _parse_range(text: str) -> list[float]:
     """Comma list or start:stop:step (inclusive of stop within tolerance)."""
     if ":" in text:
         start, stop, step = (float(x) for x in text.split(":"))
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise argparse.ArgumentTypeError("range bounds and step must be finite")
         if step <= 0 or stop < start:
             raise argparse.ArgumentTypeError("range needs start<=stop, step>0")
         out = []
         x = start
         while x <= stop + 1e-9:
+            if len(out) == _MAX_RANGE_POINTS:
+                raise argparse.ArgumentTypeError(
+                    f"range has more than {_MAX_RANGE_POINTS} points")
             out.append(round(x, 9))
             x += step
         return out
@@ -238,38 +248,18 @@ def cmd_curve(args) -> int:
     return EXIT_OK
 
 
-_EIGHT_USER_NETWORK = Path(__file__).parent / "data" / "eight_user_network.ini"
-_STOCK_METADATA = {"message-bytes": int, "epsilon": float, "arbitrator-link": str}
-
-
-def _load_link_keys(path: str | Path):
-    """Scenarios, one per section; every key that is not metadata is a link."""
-    ini = IniFile(path)
-    scenarios = {}
-    for name, sec in ini.sections.items():
-        meta = {"message-bytes": 1024, "epsilon": 1e-10, "arbitrator-link": "AI"}
-        links = {}
-        for key in sec:
-            if key in _STOCK_METADATA:
-                meta[key] = ini.value(name, key, _STOCK_METADATA[key])
-            else:
-                links[key] = ini.value(name, key, int)
-        # a size no signing round can have is a configuration error
-        ini.build(name, required_n, {"m_bits": 8 * meta["message-bytes"],
-                                     "eps_f": meta["epsilon"]})
-        if meta["arbitrator-link"] not in links:
-            raise ini.error(name, f"lacks its arbitrator link "
-                                  f"{meta['arbitrator-link']!r}")
-        scenarios[name] = (meta, links)
-    if not scenarios:
-        raise ConfigurationError(f"{path}: defines no scenarios")
-    return scenarios
+def cmd_comparison(args) -> int:
+    rows = [(row.scheme, row.k, row.m_bits, row.eps_f, f"{row.total_kbit:.3f}",
+             row.source) for row in baselines.comparison_table()]
+    _emit(_render(["scheme", "k", "m_bits", "eps_f", "total_kbit", "source"],
+                  rows, args.format), args.output)
+    return EXIT_OK
 
 
 def cmd_scenario(args) -> int:
     if args.name != "eight-user":
         raise ConfigurationError(f"unknown scenario {args.name!r}")
-    scenarios = _load_link_keys(args.keys or _EIGHT_USER_NETWORK)
+    scenarios = qkd_model.load_link_keys(args.keys or qkd_model.EIGHT_USER_NETWORK)
     rows = []
     for name, (meta, links) in scenarios.items():
         m_bytes = args.message_bytes or meta["message-bytes"]
@@ -353,6 +343,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=_epsilon, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_scenario)
+
+    p = sub.add_parser("comparison", help="total key consumption by scheme")
+    _add_common(p)
+    p.set_defaults(func=cmd_comparison)
 
     return parser
 

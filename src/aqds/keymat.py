@@ -8,7 +8,6 @@ signer and arbitrator derive identical keys from identical inputs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
@@ -81,21 +80,18 @@ def combine(bundles: Sequence[KeyBundle], arb: KeyBundle) -> SessionKeys:
 def required_n(m_bits: int, eps_f: float) -> int:
     """Minimal digest half-length n with m / 2^(n-1) <= eps_f.
 
-    The comparison is exact (the float bound is taken at its binary value),
-    so table reproductions cannot drift by one from rounding.
+    The comparison is exact (the float bound is taken at its binary value,
+    subnormals included), so table reproductions cannot drift by one from
+    rounding.
     """
     if m_bits < 1:
         raise ValueError("message length must be at least 1 bit")
     if not 0.0 < eps_f < 1.0:
         raise ValueError("forgery bound must be in (0, 1)")
     eps = Fraction(eps_f)
-    # start near the float estimate, then settle exactly
-    n = max(1, math.ceil(math.log2(m_bits / eps_f)) - 1)
-    while Fraction(m_bits, 2 ** (n - 1)) > eps:
-        n += 1
-    while n > 1 and Fraction(m_bits, 2 ** (n - 2)) <= eps:
-        n -= 1
-    return n
+    # 2^(n-1) >= m / eps holds iff 2^(n-1) >= ceil(m / eps), an integer
+    ceiling = -(-m_bits * eps.denominator // eps.numerator)
+    return (ceiling - 1).bit_length() + 1
 
 
 def link_bits(m_bits: int, eps_f: float) -> int:

@@ -16,8 +16,8 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
-from .config import IniFile
-from .keymat import link_bits
+from .config import ConfigurationError, IniFile
+from .keymat import link_bits, required_n
 
 
 class NoSignalError(ValueError):
@@ -200,3 +200,31 @@ def supported_rounds(key_bits_per_link: Sequence[int], m_bits: int,
     if not key_bits_per_link:
         raise ValueError("need at least one link key stock")
     return min(key_bits_per_link) // link_bits(m_bits, eps_f)
+
+
+EIGHT_USER_NETWORK = Path(__file__).parent / "data" / "eight_user_network.ini"
+_STOCK_METADATA = {"message-bytes": int, "epsilon": float, "arbitrator-link": str}
+
+
+def load_link_keys(path: str | Path):
+    """Scenarios, one per section; every key that is not metadata is a link."""
+    ini = IniFile(path)
+    scenarios = {}
+    for name, sec in ini.sections.items():
+        meta = {"message-bytes": 1024, "epsilon": 1e-10, "arbitrator-link": "AI"}
+        links = {}
+        for key in sec:
+            if key in _STOCK_METADATA:
+                meta[key] = ini.value(name, key, _STOCK_METADATA[key])
+            else:
+                links[key] = ini.value(name, key, int)
+        # a size no signing round can have is a configuration error
+        ini.build(name, required_n, {"m_bits": 8 * meta["message-bytes"],
+                                     "eps_f": meta["epsilon"]})
+        if meta["arbitrator-link"] not in links:
+            raise ini.error(name, f"lacks its arbitrator link "
+                                  f"{meta['arbitrator-link']!r}")
+        scenarios[name] = (meta, links)
+    if not scenarios:
+        raise ConfigurationError(f"{path}: defines no scenarios")
+    return scenarios

@@ -189,6 +189,32 @@ class TestScenario:
         assert code == EXIT_CONFIG
 
 
+COMPARISON_CSV = """\
+scheme,k,m_bits,eps_f,total_kbit,source
+Amiri et al. 2016 (unconditionally secure signatures),7,8,1e-10,21.888,literature
+Pelet et al. 2022 (eight-user network signatures),7,8,1e-10,35.898,literature
+Kiktenko et al. 2022 (QKD-network multiparty signatures),4,8388608,1e-10,279.400,literature
+"extended three-party, fixed trusted party",7,8,1e-10,1.596,computed
+"extended three-party, fixed trusted party",4,8388608,1e-10,1.392,computed
+arbitrated multi-receiver (this package),7,8,1e-10,0.912,computed
+arbitrated multi-receiver (this package),4,8388608,1e-10,0.870,computed
+"""
+
+
+class TestComparison:
+    def test_csv_bytes(self, capsys):
+        assert run_cli(capsys, "comparison") == (EXIT_OK, COMPARISON_CSV)
+
+    def test_table_lists_every_row(self, capsys):
+        code, out = run_cli(capsys, "comparison", "--format", "table")
+        assert code == EXIT_OK
+        rows = out.splitlines()[1:]
+        schemes = [line.rsplit(",", 5)[0].strip('"')
+                   for line in COMPARISON_CSV.splitlines()[1:]]
+        assert len(rows) == len(schemes) == 7
+        assert all(row.startswith(scheme) for row, scheme in zip(rows, schemes))
+
+
 class TestOutputHandling:
     def test_output_file_and_env_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("AQDS_OUTPUT_DIR", str(tmp_path))
@@ -231,6 +257,16 @@ MALFORMED = [
 ]
 
 
+def run_process(argv):
+    """``python -m aqds.cli *argv`` in a fresh interpreter, output captured."""
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, (
+                   str(Path(aqds.__file__).parent.parent),
+                   os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-m", "aqds.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize("argv, text, names", MALFORMED)
     def test_exits_4_with_one_line_and_no_traceback(self, tmp_path, argv, text,
@@ -239,14 +275,7 @@ class TestMalformedInput:
         if text is not None:
             cfg.write_text(text)
             names = [str(cfg), *names]
-        env = dict(os.environ,
-                   PYTHONPATH=os.pathsep.join(filter(None, (
-                       str(Path(aqds.__file__).parent.parent),
-                       os.environ.get("PYTHONPATH")))))
-        proc = subprocess.run(
-            [sys.executable, "-m", "aqds.cli",
-             *(a.replace("{cfg}", str(cfg)) for a in argv)],
-            capture_output=True, text=True, env=env, timeout=120)
+        proc = run_process([a.replace("{cfg}", str(cfg)) for a in argv])
         assert proc.returncode == EXIT_CONFIG, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("aqds: ")
@@ -264,3 +293,23 @@ class TestMalformedInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "aqds: no coincidences; QBER undefined\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["consumption", "--epsilon", "1e-320"],  # subnormal: n from the exact bound
+        ["attack", "--suite", "forgery", "--n", "2000", "--m-bits", "4000",
+         "--trials", "0"],  # bound m/2^(n-1) underflows to 0
+    ])
+    def test_extreme_values_exit_0(self, argv):
+        proc = run_process(argv)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stderr == ""
+        assert proc.stdout.count("\n") > 1
+
+    @pytest.mark.parametrize("spec", ["0:inf:1", "0:nan:1", "-inf:0:1", "0:1:1e-12"])
+    def test_unbounded_range_is_usage_error(self, capsys, spec):
+        with pytest.raises(SystemExit) as exc:
+            main(["rate-curve", "--distance-km", spec])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "argument --distance-km" in err.splitlines()[-1]

@@ -4,10 +4,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from aqds.cli import _load_link_keys
 from aqds.config import ConfigurationError, IniFile
 from aqds.netsim import load_script, load_topology
-from aqds.qkd_model import load_source_params
+from aqds.qkd_model import load_link_keys, load_source_params
 
 def write(tmp_path, text):
     path = tmp_path / "cfg.ini"
@@ -54,7 +53,7 @@ class TestUnknownKeys:
             loader(write(tmp_path, text))
 
     def test_key_stock_sections_stay_open(self, tmp_path):
-        scenarios = _load_link_keys(write(
+        scenarios = load_link_keys(write(
             tmp_path, "[net]\narbitrator-link = Zed\nZed = 10\nAnyLink = 20\n"))
         assert scenarios["net"][1] == {"Zed": 10, "AnyLink": 20}
 
@@ -76,7 +75,7 @@ GRAMMARS = [
     (load_source_params, ["source"],
      ["brightness", "t-cc", "eta-tcc", "t-delta", "q-sift", "f-ec",
       "alpha-db-per-km", "receiver-loss-db"]),
-    (_load_link_keys, ["lab", "metro"],
+    (load_link_keys, ["lab", "metro"],
      ["arbitrator-link", "message-bytes", "epsilon", "AI", "AB"]),
 ]
 # values stay short so that no receiver count or stock gets large

@@ -113,6 +113,15 @@ class TestRequiredN:
         if n > 1:
             assert Fraction(m_bits, 2 ** (n - 2)) > Fraction(eps)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 2**64), st.one_of(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        # subnormals: every multiple of the smallest positive double below 2^-1022
+        st.integers(1, 2**52 - 1).map(lambda i: math.ldexp(i, -1074))))
+    def test_exact_for_every_double(self, m_bits, eps):
+        n = required_n(m_bits, eps)
+        assert Fraction(m_bits, 2 ** (n - 1)) <= Fraction(eps) < Fraction(m_bits, 2 ** (n - 2))
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 2**20), st.integers(1, 2**20))
     def test_monotone_in_message_length(self, a, b):
