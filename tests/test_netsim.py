@@ -201,6 +201,24 @@ class TestGoldenTranscript:
         golden = Path(__file__).parent / "data" / "golden_round_seed123.txt"
         assert t.render() == golden.read_text()
 
+    def test_frozen_multi_timeout_round_replays_exactly(self):
+        # k = 5: r5's broadcast dropped, r3 and r4 forward past the deadline
+        # (three-item key request and response), r2's forward tampered so
+        # the arbitrator rejects it
+        script = AdversaryScript((
+            Rule(action="drop", kind="broadcast", receiver="r5"),
+            Rule(action="delay", kind="forward", sender="r3", delta=20),
+            Rule(action="delay", kind="forward", sender="r4", delta=20),
+            Rule(action="tamper", kind="forward", sender="r2", positions=(3,)),
+        ))
+        sec = SecurityParams.for_n(8, 32, 5)
+        t = run_round(Topology.fully_connected(5), sec, script, seed=123)
+        assert t.outcomes["r2"] is VerificationOutcome.REJECTED
+        assert t.timeout_claims == {"r3": True, "r4": True}
+        from pathlib import Path
+        golden = Path(__file__).parent / "data" / "golden_round_multi.txt"
+        assert t.render() == golden.read_text()
+
 
 class TestAuthenticatedChannels:
     @settings(max_examples=60, deadline=None)
