@@ -63,15 +63,13 @@ def _parse_range(text: str) -> list[float]:
             raise argparse.ArgumentTypeError("range bounds and step must be finite")
         if step <= 0 or stop < start:
             raise argparse.ArgumentTypeError("range needs start<=stop, step>0")
-        out = []
-        x = start
-        while x <= stop + 1e-9:
-            if len(out) == _MAX_RANGE_POINTS:
-                raise argparse.ArgumentTypeError(
-                    f"range has more than {_MAX_RANGE_POINTS} points")
-            out.append(round(x, 9))
-            x += step
-        return out
+        # counted, then indexed: a running sum x += step stalls once the step
+        # falls below the float spacing at x
+        span = (stop + 1e-9 - start) / step
+        if not span < _MAX_RANGE_POINTS:
+            raise argparse.ArgumentTypeError(
+                f"range has more than {_MAX_RANGE_POINTS} points")
+        return [round(start + i * step, 9) for i in range(math.floor(span) + 1)]
     return _comma_list(float)(text)
 
 
@@ -169,6 +167,13 @@ def cmd_attack(args) -> int:
         raise ConfigurationError(
             f"bad --n/--m-bits: the forgery suite needs 2 <= n < m_bits, "
             f"got n={args.n}, m_bits={args.m_bits}")
+    if "forgery" in chosen:
+        try:
+            float(args.m_bits)  # the forgery bound m / 2^(n-1) is a float
+        except OverflowError:
+            raise ConfigurationError(
+                "bad --m-bits: too large for the float forgery bound "
+                "m / 2^(n-1)") from None
     if {"robustness", "repudiation"} & set(chosen):
         sec = _checked("--n/--m-bits/--receivers", SecurityParams.for_n,
                        args.n, args.m_bits, args.receivers)

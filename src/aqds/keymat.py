@@ -8,6 +8,7 @@ signer and arbitrator derive identical keys from identical inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
@@ -128,14 +129,24 @@ class SecurityParams:
     def for_n(cls, n: int, m_bits: int, k: int) -> SecurityParams:
         """Parameters that make a chosen n minimal: eps_f = m / 2^(n-1).
 
-        Convenient for experiments that sweep n directly.
+        Convenient for experiments that sweep n directly.  Raises when that
+        bound is not exact as a float (m has more than 53 significant bits,
+        or the bound falls below the normal range and loses bits), since the
+        rounded bound would make a different n minimal.
         """
         if n < 2:
             raise ValueError("n must be at least 2")
-        eps = m_bits / 2 ** (n - 1)
-        if not eps < 1.0:
+        if m_bits >= 2 ** (n - 1):
             raise ValueError("m too long for this n")
-        return cls(m_bits=m_bits, eps_f=eps, k=k)
+        eps = max(m_bits, 1) / 2 ** (n - 1)
+        # a bound rounded to 0 or 1 goes back inside (0, 1), so that the
+        # constructor still reports a bad k or m first
+        eps = min(max(eps, math.ulp(0.0)), 1 - 2 ** -53)
+        params = cls(m_bits=m_bits, eps_f=eps, k=k)
+        if params.n != n:
+            raise ValueError(f"no float forgery bound makes n = {n} minimal: "
+                             f"m / 2^(n-1) is not exact as a float")
+        return params
 
     @property
     def bits_per_link(self) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
 from random import Random
@@ -126,78 +126,35 @@ class EventQueue:
 
 
 # ---------------------------------------------------------------------------
-# Wire payloads
+# Wire payloads: every delivery carries a (kind, body) pair
 
 
-@dataclass(frozen=True)
-class Broadcast:
-    bundle: SignatureBundle
+def _canon(body: object) -> str:
+    if isinstance(body, SignatureBundle):
+        return (f"bundle:{body.message.to_hex()}/{body.message.length}"
+                f":{body.signature.to_hex()}/{body.signature.length}")
+    if isinstance(body, KeyBundle):
+        return f"keys:{body.x.to_hex()}:{body.y.to_hex()}"
+    if isinstance(body, SessionKeys):
+        return f"session:{body.xs.to_hex()}:{body.ys.to_hex()}"
+    if isinstance(body, ForwardPacket):
+        body = (body.receiver_id, body.bundle, body.keys, body.sent_at)
+    if isinstance(body, tuple):
+        return ":".join(map(_canon, body))
+    if isinstance(body, list):
+        return ",".join(map(_canon, body))
+    if isinstance(body, VerificationOutcome):
+        return body.value
+    return str(body)
 
 
-@dataclass(frozen=True)
-class KeyRequest:
-    timeout_ids: tuple[str, ...]
+def _wire(kind: str, body: object) -> str:
+    """The text a transcript line digests for one (kind, body) pair."""
+    return f"{kind}[{_canon(body)}]"
 
 
-@dataclass(frozen=True)
-class KeyResponse:
-    keys: tuple[tuple[str, KeyBundle], ...]
-
-
-@dataclass(frozen=True)
-class KeyRelease:
-    session: SessionKeys
-
-
-@dataclass(frozen=True)
-class Announcement:
-    receiver_id: str
-    verdict: VerificationOutcome
-
-
-@dataclass(frozen=True)
-class Verdict:
-    receiver_id: str
-    outcome: VerificationOutcome
-
-
-@dataclass(frozen=True)
-class TimeoutClaim:
-    receiver_id: str
-    bundle: SignatureBundle
-    accepted: bool
-
-
-def _canon(payload: object) -> str:
-    if isinstance(payload, SignatureBundle):
-        return (f"bundle:{payload.message.to_hex()}/{payload.message.length}"
-                f":{payload.signature.to_hex()}/{payload.signature.length}")
-    if isinstance(payload, KeyBundle):
-        return f"keys:{payload.x.to_hex()}:{payload.y.to_hex()}"
-    if isinstance(payload, SessionKeys):
-        return f"session:{payload.xs.to_hex()}:{payload.ys.to_hex()}"
-    if isinstance(payload, Broadcast):
-        return f"broadcast[{_canon(payload.bundle)}]"
-    if isinstance(payload, ForwardPacket):
-        return (f"forward[{payload.receiver_id}:{_canon(payload.bundle)}"
-                f":{_canon(payload.keys)}:{payload.sent_at}]")
-    if isinstance(payload, KeyRequest):
-        return "key-request[" + ",".join(payload.timeout_ids) + "]"
-    if isinstance(payload, KeyResponse):
-        return "key-response[" + ",".join(f"{r}:{_canon(b)}" for r, b in payload.keys) + "]"
-    if isinstance(payload, KeyRelease):
-        return f"key-release[{_canon(payload.session)}]"
-    if isinstance(payload, Announcement):
-        return f"announce[{payload.receiver_id}:{payload.verdict.value}]"
-    if isinstance(payload, Verdict):
-        return f"verdict[{payload.receiver_id}:{payload.outcome.value}]"
-    if isinstance(payload, TimeoutClaim):
-        return f"claim[{payload.receiver_id}:{_canon(payload.bundle)}:{payload.accepted}]"
-    return repr(payload)
-
-
-def _digest(payload: object) -> str:
-    return hashlib.sha256(_canon(payload).encode()).hexdigest()[:16]
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +333,7 @@ class _RoundRunner:
             message = BitString.random(security.m_bits, self.rng)
         elif message.length != security.m_bits:
             raise ValueError("message length contradicts the security params")
-        self.bundle, self.r_s = sign(message, self.signer_sk, self.rng)
+        self.bundle, _ = sign(message, self.signer_sk, self.rng)
 
         self.record = RoundRecord.open(topology.receiver_ids, topology.deadline,
                                        self.arb_bundle)
@@ -390,24 +347,35 @@ class _RoundRunner:
         self.last_time = 0
 
     def _log(self, event: str, sender: str, receiver: str, at: int,
-             payload: object) -> None:
+             text: str) -> None:
         self.lines.append(
-            f"{self.round_id} {event} {sender} {receiver} {at} {_digest(payload)}")
+            f"{self.round_id} {event} {sender} {receiver} {at} {_digest(text)}")
+
+    def _send(self, at: int, sender: str, receiver: str, kind: str,
+              body: object) -> None:
+        self.queue.push(at, EventKind.DELIVER, sender, receiver, (kind, body))
 
     def run(self) -> Transcript:
         top, sec = self.top, self.sec
         for rid in top.receiver_ids:
             out, extra = self.script.apply("broadcast", top.signer_id, rid, self.bundle)
-            if out is None:
-                continue
-            self.queue.push(top.delay(top.signer_id, rid) + extra,
-                            EventKind.DELIVER, top.signer_id, rid, Broadcast(out))
+            if out is not None:
+                self._send(top.delay(top.signer_id, rid) + extra, top.signer_id,
+                           rid, "broadcast", out)
         self.queue.push(top.deadline, EventKind.DEADLINE_FIRE,
-                        top.arbitrator_id, top.arbitrator_id, "deadline")
+                        top.arbitrator_id, top.arbitrator_id, None)
         while self.queue:
             ev = self.queue.advance()
             self.last_time = max(self.last_time, ev.at)
-            self._dispatch(ev)
+            if ev.kind is EventKind.DEADLINE_FIRE:
+                # the golden transcripts fix this text: the repr of a bare string
+                self._log("deadline", ev.sender, ev.receiver, ev.at, repr("deadline"))
+                self._on_deadline(ev.at)
+                continue
+            kind, body = ev.payload
+            self._log("deliver:" + kind, ev.sender, ev.receiver, ev.at,
+                      _wire(kind, body))
+            getattr(self, "_on_" + kind.replace("-", "_"))(ev, body)
         self._claims()
         return Transcript(
             round_id=self.round_id,
@@ -421,62 +389,37 @@ class _RoundRunner:
             session_keys=self.session,
         )
 
-    def _dispatch(self, ev: Event) -> None:
-        if ev.kind is EventKind.DEADLINE_FIRE:
-            self._log("deadline", ev.sender, ev.receiver, ev.at, ev.payload)
-            self._on_deadline(ev.at)
-            return
-        payload = ev.payload
-        if isinstance(payload, Broadcast):
-            self._log("deliver:broadcast", ev.sender, ev.receiver, ev.at, payload)
-            self._on_broadcast(ev.receiver, payload.bundle, ev.at)
-        elif isinstance(payload, ForwardPacket):
-            self._log("deliver:forward", ev.sender, ev.receiver, ev.at, payload)
-            if not self.closed and payload.receiver_id not in self.packets:
-                self.packets[payload.receiver_id] = payload
-        elif isinstance(payload, KeyRequest):
-            self._log("deliver:key-request", ev.sender, ev.receiver, ev.at, payload)
-            keys = KeyResponse(tuple((r, self.link_keys[r])
-                                     for r in payload.timeout_ids))
-            self.queue.push(ev.at + self.top.delay(self.top.signer_id,
-                                                   self.top.arbitrator_id),
-                            EventKind.DELIVER, self.top.signer_id,
-                            self.top.arbitrator_id, keys)
-        elif isinstance(payload, KeyResponse):
-            self._log("deliver:key-response", ev.sender, ev.receiver, ev.at, payload)
-            self._finish_close(ev.at, dict(payload.keys))
-        elif isinstance(payload, KeyRelease):
-            self._log("deliver:key-release", ev.sender, ev.receiver, ev.at, payload)
-            self._on_key_release(ev.receiver, payload.session, ev.at)
-        elif isinstance(payload, Announcement):
-            self._log("deliver:announce", ev.sender, ev.receiver, ev.at, payload)
-            self._on_announcement(payload, ev.at)
-        else:
-            raise AssertionError(f"unhandled payload {payload!r}")
-
-    def _on_broadcast(self, rid: str, bundle: SignatureBundle, now: int) -> None:
-        top = self.top
+    def _on_broadcast(self, ev: Event, bundle: SignatureBundle) -> None:
+        top, rid = self.top, ev.receiver
         self.receiver_copy[rid] = bundle
-        packet = ForwardPacket(rid, bundle, self.link_keys[rid], sent_at=now)
-        out, extra = self.script.apply("forward", rid, top.arbitrator_id,
-                                       packet.bundle)
-        if out is None:
-            return
-        if out is not packet.bundle:
-            packet = replace(packet, bundle=out)
-        self.queue.push(now + top.delay(rid, top.arbitrator_id) + extra,
-                        EventKind.DELIVER, rid, top.arbitrator_id, packet)
+        out, extra = self.script.apply("forward", rid, top.arbitrator_id, bundle)
+        if out is not None:
+            self._send(ev.at + top.delay(rid, top.arbitrator_id) + extra, rid,
+                       top.arbitrator_id, "forward",
+                       ForwardPacket(rid, out, self.link_keys[rid], sent_at=ev.at))
+
+    def _on_forward(self, ev: Event, packet: ForwardPacket) -> None:
+        if not self.closed and packet.receiver_id not in self.packets:
+            self.packets[packet.receiver_id] = packet
 
     def _on_deadline(self, now: int) -> None:
         self.closed = True
         top = self.top
         timeouts = [r for r in top.receiver_ids if r not in self.packets]
         if timeouts:
-            d = top.delay(top.arbitrator_id, top.signer_id)
-            self.queue.push(now + d, EventKind.DELIVER, top.arbitrator_id,
-                            top.signer_id, KeyRequest(tuple(timeouts)))
+            self._send(now + top.delay(top.arbitrator_id, top.signer_id),
+                       top.arbitrator_id, top.signer_id, "key-request", timeouts)
         else:
             self._finish_close(now, {})
+
+    def _on_key_request(self, ev: Event, timeouts: list[str]) -> None:
+        top = self.top
+        self._send(ev.at + top.delay(top.signer_id, top.arbitrator_id),
+                   top.signer_id, top.arbitrator_id, "key-response",
+                   [(r, self.link_keys[r]) for r in timeouts])
+
+    def _on_key_response(self, ev: Event, keys: list[tuple[str, KeyBundle]]) -> None:
+        self._finish_close(ev.at, dict(keys))
 
     def _finish_close(self, now: int, fetched: Mapping[str, KeyBundle]) -> None:
         top = self.top
@@ -485,30 +428,31 @@ class _RoundRunner:
         for rid in top.receiver_ids:
             if self.record.verdicts.get(rid) is VerificationOutcome.TIMED_OUT:
                 self._log("verdict", top.arbitrator_id, rid, now,
-                          Verdict(rid, VerificationOutcome.TIMED_OUT))
+                          _wire("verdict", (rid, VerificationOutcome.TIMED_OUT)))
         for rid in top.receiver_ids:
             if rid in self.packets:
-                self.queue.push(now + top.delay(top.arbitrator_id, rid),
-                                EventKind.DELIVER, top.arbitrator_id, rid,
-                                KeyRelease(self.session))
+                self._send(now + top.delay(top.arbitrator_id, rid),
+                           top.arbitrator_id, rid, "key-release", self.session)
 
-    def _on_key_release(self, rid: str, session: SessionKeys, now: int) -> None:
+    def _on_key_release(self, ev: Event, session: SessionKeys) -> None:
+        rid = ev.receiver
         verdict = receiver_verify(self.receiver_copy[rid], session)
         self.announcements[rid] = verdict
-        self.queue.push(now + self.top.delay(rid, self.top.arbitrator_id),
-                        EventKind.DELIVER, rid, self.top.arbitrator_id,
-                        Announcement(rid, verdict))
+        self._send(ev.at + self.top.delay(rid, self.top.arbitrator_id), rid,
+                   self.top.arbitrator_id, "announce", (rid, verdict))
 
-    def _on_announcement(self, ann: Announcement, now: int) -> None:
-        rid = ann.receiver_id
-        if ann.verdict is VerificationOutcome.ACCEPTED:
+    def _on_announce(self, ev: Event,
+                     announcement: tuple[str, VerificationOutcome]) -> None:
+        rid, verdict = announcement
+        if verdict is VerificationOutcome.ACCEPTED:
             outcome = arbitrator_verify(self.packets[rid], self.session)
             if outcome is VerificationOutcome.ACCEPTED:
                 self.record.archive_verified(self.packets[rid].bundle)
         else:
             outcome = VerificationOutcome.REJECTED
         self.record.verdicts[rid] = outcome
-        self._log("verdict", self.top.arbitrator_id, rid, now, Verdict(rid, outcome))
+        self._log("verdict", self.top.arbitrator_id, rid, ev.at,
+                  _wire("verdict", (rid, outcome)))
 
     def _claims(self) -> None:
         self.claims: dict[str, bool] = {}
@@ -521,7 +465,7 @@ class _RoundRunner:
                 self.claims[rid] = ok
                 at = self.last_time + top.delay(rid, top.arbitrator_id)
                 self._log("timeout-claim", rid, top.arbitrator_id, at,
-                          TimeoutClaim(rid, bundle, ok))
+                          _wire("claim", (rid, bundle, ok)))
 
 
 def run_round(topology: Topology, security: SecurityParams,

@@ -254,6 +254,10 @@ MALFORMED = [
     (["sign-round", "--deadline", "0"], None, ["--deadline"]),
     (["attack", "--n", "1", "--suite", "forgery"], None, ["--n"]),
     (["consumption", "--receivers=-1"], None, ["--receivers"]),
+    (["attack", "--suite", "robustness", "--n", "2000", "--m-bits", "4000",
+      "--trials", "0"], None, ["--n", "n = 2000 minimal"]),
+    (["attack", "--suite", "forgery", "--n", "2", "--m-bits", "1" + "0" * 320,
+      "--trials", "0"], None, ["--m-bits"]),
 ]
 
 
@@ -313,3 +317,8 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert "argument --distance-km" in err.splitlines()[-1]
+
+    def test_range_below_float_spacing_has_one_point(self, capsys):
+        code, out = run_cli(capsys, "rate-curve", "--distance-km", "1e20:1e20:1")
+        assert code == EXIT_OK
+        assert out.splitlines()[1:] == ["1e+20,0,inf"]

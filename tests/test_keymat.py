@@ -166,3 +166,24 @@ class TestSecurityParams:
     def test_for_n_rejects_long_message(self):
         with pytest.raises(ValueError):
             SecurityParams.for_n(4, 64, 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_for_n_is_exact_below_2_to_53(self, data):
+        # m < 2^53 and n <= 1074 keep m / 2^(n-1) exact as a float, down
+        # into the subnormals, so the chosen n is always the minimal one
+        n = data.draw(st.integers(2, 1074))
+        m = data.draw(st.integers(1, min(2**53, 2 ** (n - 1)) - 1))
+        assert SecurityParams.for_n(n, m, 1).n == n
+
+    @pytest.mark.parametrize("n, m", [
+        (1080, 4001),       # bound is subnormal and loses m's low bits
+        (1060, 2**60 + 1),  # m has 61 significant bits
+        (2000, 4000),       # bound underflows to 0
+    ])
+    def test_for_n_raises_when_the_bound_is_no_float(self, n, m):
+        with pytest.raises(ValueError, match=f"n = {n} minimal"):
+            SecurityParams.for_n(n, m, 1)
+
+    def test_for_n_exact_far_beyond_double_range(self):
+        assert SecurityParams.for_n(2000, 2**1063, 1).n == 2000
