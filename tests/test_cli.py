@@ -160,6 +160,13 @@ class TestCurves:
                         big.strip().splitlines()[1:]):
             assert float(s.split(",")[2]) < float(b.split(",")[2])
 
+    def test_time_curve_golden(self, capsys):
+        # 51 rows at 1 MB, eps = 1e-20; from 500 km on the secure rate is 0
+        golden = Path(__file__).parent / "data" / "golden_time_curve.csv"
+        assert run_cli(capsys, "time-curve", "--distance-km", "0:1000:20",
+                       "--message-bytes", "1M", "--epsilon", "1e-20",
+                       ) == (EXIT_OK, golden.read_text())
+
 
 class TestScenario:
     def test_shipped_eight_user_values(self, capsys):
