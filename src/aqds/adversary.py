@@ -38,7 +38,7 @@ class AttackResult:
 
     @property
     def threshold(self) -> float:
-        if self.trials == 0 or self.bound in (0.0, 1.0):
+        if self.trials == 0 or not 0.0 < self.bound < 1.0:
             return self.bound
         sigma = math.sqrt(self.bound * (1.0 - self.bound) / self.trials)
         return self.bound + 3.0 * sigma
@@ -78,8 +78,8 @@ def polynomial_guess_strategy(bundle: SignatureBundle, rng: Random) -> Signature
     n = bundle.n
     m = bundle.message.length
     guesses = max(1, (m - 1) // n)
-    if m <= n:
-        raise ValueError("message must be longer than n to host a guess")
+    if not n < m <= 1 << (n - 1):  # above 2^(n-1) there may be too few irreducibles
+        raise ValueError("message length must be in (n, 2^(n-1)] to host the guesses")
     factors: set[int] = set()
     while len(factors) < guesses:
         p, _ = sample_irreducible(n, rng)
@@ -107,7 +107,7 @@ def forgery_known_signature(n: int, m_bits: int, trials: int, rng: Random,
         bundles, arb = distribute_keys(n, known_keys, rng)
         sk = combine(bundles, arb)
         message = BitString.random(m_bits, rng)
-        bundle, _ = sign(message, sk, rng)
+        bundle = sign(message, sk, rng)
         forged = polynomial_guess_strategy(bundle, rng)
         if receiver_verify(forged, sk) is VerificationOutcome.ACCEPTED:
             successes += 1

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from random import Random
 
 from .gf2_hash import BitString
-from .keymat import KeyBundle, SessionKeys, required_n, total_consumption
+from .keymat import KeyBundle, SessionKeys, combine, required_n, total_consumption
 from .protocol import SignatureBundle, VerificationOutcome, receiver_verify, sign
 
 
@@ -37,13 +37,11 @@ class ExtBaselineKeys:
 
     def session(self, i: int) -> SessionKeys:
         """Combined keys for flow i: trusted pair XOR receiver pair."""
-        t, r = self.trusted[i], self.receiver[i]
-        return SessionKeys(t.x ^ r.x, t.y ^ r.y)
+        return combine([self.receiver[i]], self.trusted[i])
 
 
 @dataclass(frozen=True)
 class ExtFlowResult:
-    receiver_index: int
     bundle: SignatureBundle
     receiver_verdict: VerificationOutcome
 
@@ -62,8 +60,8 @@ def ext_round(message: BitString, k: int, n: int, rng: Random,
     results = []
     for i in range(k):
         sk = keys.session(i)
-        bundle, _ = sign(message, sk, rng)
-        results.append(ExtFlowResult(i, bundle, receiver_verify(bundle, sk)))
+        bundle = sign(message, sk, rng)
+        results.append(ExtFlowResult(bundle, receiver_verify(bundle, sk)))
     return results, keys
 
 

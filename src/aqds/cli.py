@@ -19,7 +19,7 @@ from pathlib import Path
 from random import Random
 
 from . import adversary, baselines, netsim, qkd_model
-from .config import ConfigurationError
+from .config import ConfigurationError, checked
 from .keymat import SecurityParams, link_bits, total_consumption
 
 EXIT_OK = 0
@@ -64,12 +64,13 @@ def _parse_range(text: str) -> list[float]:
         if step <= 0 or stop < start:
             raise argparse.ArgumentTypeError("range needs start<=stop, step>0")
         # counted, then indexed: a running sum x += step stalls once the step
-        # falls below the float spacing at x
-        span = (stop + 1e-9 - start) / step
+        # falls below the float spacing at x; a stop within 1e-9 steps past a
+        # point still counts that point
+        span = (stop - start) / step + 1e-9
         if not span < _MAX_RANGE_POINTS:
             raise argparse.ArgumentTypeError(
                 f"range has more than {_MAX_RANGE_POINTS} points")
-        return [round(start + i * step, 9) for i in range(math.floor(span) + 1)]
+        return [start + i * step for i in range(math.floor(span) + 1)]
     return _comma_list(float)(text)
 
 
@@ -78,14 +79,6 @@ def _epsilon(text: str) -> float:
     if not 0.0 < value < 1.0:
         raise argparse.ArgumentTypeError("epsilon must be strictly between 0 and 1")
     return value
-
-
-def _checked(flags: str, build, *args, **kwargs):
-    """``build(*args, **kwargs)``, its ValueError reported against ``flags``."""
-    try:
-        return build(*args, **kwargs)
-    except ValueError as exc:
-        raise ConfigurationError(f"bad {flags}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +131,11 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def cmd_sign_round(args) -> int:
-    security = _checked("--receivers", SecurityParams, m_bits=8 * args.message_bytes,
-                        eps_f=args.epsilon, k=args.receivers)
+    security = checked("bad --receivers: ", SecurityParams, 8 * args.message_bytes,
+                       args.epsilon, args.receivers)
     script = netsim.load_script(args.script) if args.script else None
-    topology = _checked("--deadline", netsim.Topology.fully_connected,
-                        args.receivers, deadline=args.deadline)
+    topology = checked("bad --deadline: ", netsim.Topology.fully_connected,
+                       args.receivers, deadline=args.deadline)
     try:
         transcript = netsim.run_round(topology, security, script, seed=args.seed)
     except ConfigurationError as exc:  # a rule that does not fit the round's sizes
@@ -163,20 +156,24 @@ def cmd_attack(args) -> int:
     # every suite's arguments are checked before the first one runs
     if args.trials < 0:
         raise ConfigurationError(f"bad --trials: must be non-negative, got {args.trials}")
-    if "forgery" in chosen and not 2 <= args.n < args.m_bits:
-        raise ConfigurationError(
-            f"bad --n/--m-bits: the forgery suite needs 2 <= n < m_bits, "
-            f"got n={args.n}, m_bits={args.m_bits}")
     if "forgery" in chosen:
+        if not 2 <= args.n < args.m_bits:
+            raise ConfigurationError(
+                f"bad --n/--m-bits: the forgery suite needs 2 <= n < m_bits, "
+                f"got n={args.n}, m_bits={args.m_bits}")
         try:
             float(args.m_bits)  # the forgery bound m / 2^(n-1) is a float
         except OverflowError:
             raise ConfigurationError(
                 "bad --m-bits: too large for the float forgery bound "
                 "m / 2^(n-1)") from None
+        if (args.m_bits - 1).bit_length() >= args.n:  # m > 2^(n-1): bound above 1
+            raise ConfigurationError(
+                f"bad --n/--m-bits: the forgery suite needs m_bits <= 2^(n-1), "
+                f"got n={args.n}, m_bits={args.m_bits}")
     if {"robustness", "repudiation"} & set(chosen):
-        sec = _checked("--n/--m-bits/--receivers", SecurityParams.for_n,
-                       args.n, args.m_bits, args.receivers)
+        sec = checked("bad --n/--m-bits/--receivers: ", SecurityParams.for_n,
+                      args.n, args.m_bits, args.receivers)
         topology = netsim.Topology.fully_connected(args.receivers)
     rows = []
     ok = True
@@ -211,8 +208,8 @@ def cmd_consumption(args) -> int:
     for m_bytes in sorted(args.message_bytes):
         for eps in sorted(args.epsilon):
             for k in sorted(args.receivers):
-                rows.append((m_bytes, eps, k, _checked(
-                    "--receivers", total_consumption, 8 * m_bytes, eps, k)))
+                rows.append((m_bytes, eps, k, checked(
+                    "bad --receivers: ", total_consumption, 8 * m_bytes, eps, k)))
     _emit(_render(["m_bytes", "eps", "k", "bits"], rows, args.format),
           args.output)
     return EXIT_OK
@@ -229,7 +226,7 @@ def _source_params(args) -> qkd_model.SourceParams:
     if args.f_ec is not None:
         overrides["f_ec"] = args.f_ec
     flags = " ".join(f"--{key.replace('_', '-')}" for key in overrides)
-    return _checked(flags, replace, params, **overrides)
+    return checked(f"bad {flags}: ", replace, params, **overrides)
 
 
 def cmd_curve(args) -> int:
@@ -361,8 +358,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, qkd_model.InfeasibleDistanceError,
-            qkd_model.NoSignalError) as exc:
+    except (ConfigurationError, qkd_model.NoSignalError) as exc:
         print(f"aqds: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

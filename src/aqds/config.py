@@ -21,6 +21,15 @@ class ConfigurationError(ValueError):
     """Malformed, unreadable or contradictory configuration."""
 
 
+def checked(prefix: str, factory: Callable[..., T], *args, **kwargs) -> T:
+    """``factory(*args, **kwargs)``, its ValueError re-raised as a
+    ``ConfigurationError`` whose message is ``prefix`` and the error's."""
+    try:
+        return factory(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigurationError(f"{prefix}{exc}") from exc
+
+
 class IniFile:
     """A parsed INI file whose accessors name the file on every error."""
 
@@ -76,7 +85,4 @@ class IniFile:
     def build(self, section: str, factory: Callable[..., T],
               kwargs: Mapping[str, object]) -> T:
         """``factory(**kwargs)``, its ValueError reported against the section."""
-        try:
-            return factory(**kwargs)
-        except ValueError as exc:
-            raise self.error(section, str(exc)) from exc
+        return checked(f"{self.path}: [{section}] ", factory, **kwargs)

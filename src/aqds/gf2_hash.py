@@ -112,9 +112,6 @@ class BitString:
             v ^= 1 << j
         return BitString(v, self.length)
 
-    def weight(self) -> int:
-        return self.value.bit_count()
-
 
 # ---------------------------------------------------------------------------
 # Polynomials over GF(2), integer-encoded
@@ -189,15 +186,6 @@ class Gf2Poly:
 
     def __mul__(self, other: Gf2Poly) -> Gf2Poly:
         return Gf2Poly(_mul(self.value, other.value))
-
-    def __str__(self) -> str:
-        if self.value == 0:
-            return "0"
-        terms = []
-        for i in range(self.degree, -1, -1):
-            if self.coeff(i):
-                terms.append("1" if i == 0 else "x" if i == 1 else f"x^{i}")
-        return "+".join(terms)
 
 
 @lru_cache(maxsize=1 << 16)

@@ -151,7 +151,3 @@ class SecurityParams:
     @property
     def bits_per_link(self) -> int:
         return 3 * self.n
-
-    @property
-    def total_bits(self) -> int:
-        return self.bits_per_link * (self.k + 1)

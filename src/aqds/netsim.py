@@ -333,7 +333,7 @@ class _RoundRunner:
             message = BitString.random(security.m_bits, self.rng)
         elif message.length != security.m_bits:
             raise ValueError("message length contradicts the security params")
-        self.bundle, _ = sign(message, self.signer_sk, self.rng)
+        self.bundle = sign(message, self.signer_sk, self.rng)
 
         self.record = RoundRecord.open(topology.receiver_ids, topology.deadline,
                                        self.arb_bundle)

@@ -60,19 +60,16 @@ class ForwardPacket:
             raise ValueError("key length inconsistent with signature length")
 
 
-def sign(message: BitString, sk: SessionKeys, rng: Random) -> tuple[SignatureBundle, BitString]:
+def sign(message: BitString, sk: SessionKeys, rng: Random) -> SignatureBundle:
     """Sign a message: tag it, append the polynomial encoding, one-time-pad.
 
-    Returns the bundle and the n-bit encoding of the sampled polynomial
-    (kept by the signer; verifiers recover it from the signature).
+    Verifiers recover the n-bit polynomial encoding from the signature.
     """
     if message.length < 1:
         raise ValueError("message must be non-empty")
-    n = sk.n
-    poly, r_s = sample_irreducible(n, rng)
+    poly, r_s = sample_irreducible(sk.n, rng)
     tag = LfsrToeplitzHasher(poly, sk.ys).hash(message)
-    digest = tag.concat(r_s)
-    return SignatureBundle(message, sk.xs ^ digest), r_s
+    return SignatureBundle(message, sk.xs ^ tag.concat(r_s))
 
 
 def receiver_verify(bundle: SignatureBundle, sk: SessionKeys) -> VerificationOutcome:

@@ -1,7 +1,7 @@
 """Secure-key rate model for CW-pumped entangled-photon links and planners.
 
-The chain goes: true coincidences from source brightness and arm
-transmittances, accidental coincidences from singles rates inside the
+The chain goes: true coincidences from source brightness and the arm
+transmittance, accidental coincidences from singles rates inside the
 coincidence window, a window efficiency for how many true pairs the window
 catches, then QBER and the distilled secure rate after error correction and
 privacy amplification.  Planners on top convert a secure rate or a stored
@@ -113,33 +113,6 @@ def load_source_params(path: str | Path) -> SourceParams:
 
 
 @dataclass(frozen=True)
-class LinkBudget:
-    """Loss per source arm in dB and the corresponding transmittances."""
-
-    arm_loss_db_a: float
-    arm_loss_db_b: float
-
-    def __post_init__(self) -> None:
-        if self.arm_loss_db_a < 0 or self.arm_loss_db_b < 0:
-            raise ValueError("arm losses must be non-negative")
-
-    @property
-    def eta_a(self) -> float:
-        return 10.0 ** (-self.arm_loss_db_a / 10.0)
-
-    @property
-    def eta_b(self) -> float:
-        return 10.0 ** (-self.arm_loss_db_b / 10.0)
-
-    @classmethod
-    def midpoint_source(cls, distance_km: float, alpha_db_per_km: float,
-                        receiver_loss_db: float) -> LinkBudget:
-        """Source halfway between the two parties, equal fiber arms."""
-        arm = distance_km / 2.0 * alpha_db_per_km + receiver_loss_db
-        return cls(arm, arm)
-
-
-@dataclass(frozen=True)
 class RateResult:
     """All intermediate rates of the chain plus the final secure rate."""
 
@@ -151,17 +124,19 @@ class RateResult:
     secure_rate: float
 
 
-def rate(params: SourceParams, budget: LinkBudget) -> RateResult:
-    """Evaluate the full rate chain for one link.
+def rate_at_distance(params: SourceParams, distance_km: float) -> RateResult:
+    """Evaluate the full rate chain over a signer-user fiber span.
 
-    The secure rate applies one measured QBER to both the bit and phase
-    entropy terms and clamps at zero when the bracket goes negative.
+    The source sits at the midpoint, so both arms lose d/2 alpha + L_rx dB
+    and share one transmittance.  The secure rate applies one measured QBER
+    to both the bit and phase entropy terms and clamps at zero when the
+    bracket goes negative.
     """
-    eta_a, eta_b = budget.eta_a, budget.eta_b
-    cc_true = params.brightness * eta_a * eta_b
-    singles_a = params.brightness * eta_a + params.dark_count
-    singles_b = params.brightness * eta_b + params.dark_count
-    cc_acc = singles_a * singles_b * params.t_cc
+    arm_db = distance_km / 2.0 * params.alpha_db_per_km + params.receiver_loss_db
+    eta = 10.0 ** (-arm_db / 10.0)
+    cc_true = params.brightness * eta * eta
+    singles = params.brightness * eta + params.dark_count
+    cc_acc = singles * singles * params.t_cc
     eta_tcc = params.resolved_eta_tcc()
     cc_measured = eta_tcc * cc_true + cc_acc
     if cc_measured <= 0.0:
@@ -171,13 +146,6 @@ def rate(params: SourceParams, budget: LinkBudget) -> RateResult:
     h = binary_entropy(qber)
     secure = params.q_sift * cc_measured * (1.0 - params.f_ec * h - h)
     return RateResult(cc_true, cc_acc, cc_measured, cc_err, qber, max(secure, 0.0))
-
-
-def rate_at_distance(params: SourceParams, distance_km: float) -> RateResult:
-    """Rate with the source at the midpoint of a signer-user fiber span."""
-    budget = LinkBudget.midpoint_source(distance_km, params.alpha_db_per_km,
-                                        params.receiver_loss_db)
-    return rate(params, budget)
 
 
 def time_to_sign(params: SourceParams, distance_km: float, m_bits: int,

@@ -5,6 +5,7 @@ exercise the experiment machinery and the brute-force cross-checks.
 """
 
 import math
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -17,12 +18,48 @@ from aqds.adversary import (
     repudiation_experiment,
     robustness_experiment,
 )
-from aqds.gf2_hash import BitString, LfsrToeplitzHasher, decode_poly
+from aqds.gf2_hash import (
+    BitString,
+    Gf2Poly,
+    LfsrToeplitzHasher,
+    decode_poly,
+    poly_is_irreducible,
+)
 from aqds.keymat import SecurityParams, SessionKeys
 from aqds.netsim import Topology
 from aqds.protocol import SignatureBundle, VerificationOutcome, receiver_verify
 
 A = VerificationOutcome.ACCEPTED
+
+
+def mobius(d: int) -> int:
+    result, p = 1, 2
+    while p * p <= d:
+        if d % p == 0:
+            d //= p
+            if d % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if d > 1 else result
+
+
+def irreducible_count(n: int) -> int:
+    """I_n, the number of monic irreducibles of degree n over GF(2) (Gauss)."""
+    return sum(mobius(d) * 2 ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+
+
+def blind_rate(n: int) -> Fraction:
+    """Exact blind-forgery success: the pad hides a uniform digest, whose
+    encoding half decodes w.p. I_n/2^n and whose tag half matches w.p. 2^-n."""
+    return Fraction(irreducible_count(n), 4 ** n)
+
+
+def guess_rate(n: int, m: int) -> Fraction:
+    """Exact polynomial-guess success: the hidden polynomial is one of the g
+    guessed factors, or else the tag of W mod p != 0 vanishes only for ys = 0."""
+    hit = Fraction(max(1, (m - 1) // n), irreducible_count(n))
+    return hit + (1 - hit) / 2 ** n
 
 
 class TestAttackResult:
@@ -39,6 +76,11 @@ class TestAttackResult:
     def test_zero_trials(self):
         r = AttackResult(trials=0, successes=0, bound=0.5)
         assert r.rate == 0.0 and r.within_bound
+
+    def test_bound_of_one_or_more_is_its_own_threshold(self):
+        for bound in (1.0, 1.5):
+            r = AttackResult(trials=10, successes=10, bound=bound)
+            assert r.threshold == bound and r.within_bound
 
     def test_successes_capped(self):
         with pytest.raises(ValueError):
@@ -100,7 +142,7 @@ class TestForgeryKnownSignature:
         rng = Random(7)
         sk = SessionKeys(BitString.random(20, rng), BitString.random(10, rng))
         from aqds.protocol import sign
-        bundle, _ = sign(BitString.random(32, rng), sk, rng)
+        bundle = sign(BitString.random(32, rng), sk, rng)
         forged = polynomial_guess_strategy(bundle, rng)
         assert forged.signature == bundle.signature
         assert forged.message != bundle.message
@@ -109,12 +151,50 @@ class TestForgeryKnownSignature:
         rng = Random(8)
         sk = SessionKeys(BitString.random(20, rng), BitString.random(10, rng))
         from aqds.protocol import sign
-        bundle, _ = sign(BitString.random(8, rng), sk, rng)
+        bundle = sign(BitString.random(8, rng), sk, rng)
+        with pytest.raises(ValueError):
+            polynomial_guess_strategy(bundle, rng)
+
+    def test_strategy_refuses_more_guesses_than_irreducibles(self):
+        # m = 17 > 2^3 asks for 4 distinct quartics, but only 3 exist
+        rng = Random(9)
+        sk = SessionKeys(BitString.random(8, rng), BitString.random(4, rng))
+        from aqds.protocol import sign
+        bundle = sign(BitString.random(17, rng), sk, rng)
         with pytest.raises(ValueError):
             polynomial_guess_strategy(bundle, rng)
 
     def test_bound_evaluation(self):
         assert forgery_known_signature(8, 16, 1, Random(0)).bound == 0.125
+
+
+class TestExactForgeryRates:
+    def test_irreducible_count_matches_enumeration(self):
+        for n in range(1, 11):
+            count = sum(poly_is_irreducible(Gf2Poly(v))
+                        for v in range(1 << n, 1 << (n + 1)))
+            assert irreducible_count(n) == count
+
+    def test_guesses_fit_among_irreducibles_up_to_largest_m(self):
+        # the guess count g grows with m, so m = 2^(n-1) is the worst case
+        for n in range(2, 64):
+            assert max(1, (2 ** (n - 1) - 1) // n) <= irreducible_count(n)
+
+    def test_exact_rates_within_analytic_bounds(self):
+        for n in range(2, 25):
+            assert blind_rate(n) <= Fraction(1, 2 ** n)
+            for m in range(n + 1, min(2 ** (n - 1), 5000) + 1):
+                assert guess_rate(n, m) <= Fraction(m, 2 ** (n - 1)), (n, m)
+
+    @pytest.mark.parametrize("experiment, exact", [
+        (lambda rng: forgery_blind(4, 60_000, rng), blind_rate(4)),
+        # 1/3 + (2/3)/16 = 0.375; g/I_n alone (1/3) is 6.7 sigma away
+        (lambda rng: forgery_known_signature(4, 8, 6_000, rng), guess_rate(4, 8)),
+    ], ids=["blind-n4", "guess-n4-m8"])
+    def test_monte_carlo_matches_exact_rate(self, experiment, exact):
+        res = experiment(Random(10))
+        p = float(exact)
+        assert abs(res.rate - p) <= 3 * math.sqrt(p * (1 - p) / res.trials)
 
 
 class TestRepudiation:

@@ -1,14 +1,17 @@
 """CLI surface: flags, CSV stability, exit codes, config files."""
 
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import aqds
-from aqds.cli import EXIT_BOUND, EXIT_CONFIG, EXIT_OK, main
+from aqds.cli import EXIT_BOUND, EXIT_CONFIG, EXIT_OK, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -265,7 +268,16 @@ MALFORMED = [
       "--trials", "0"], None, ["--n", "n = 2000 minimal"]),
     (["attack", "--suite", "forgery", "--n", "2", "--m-bits", "1" + "0" * 320,
       "--trials", "0"], None, ["--m-bits"]),
+    # m > 2^(n-1): the guess strategy needs more distinct irreducibles than
+    # exist (these never returned), or the bound exceeds 1 (m = 16 crashed)
+    *((["attack", "--suite", "forgery", "--n", n, "--m-bits", m, "--trials", "1"],
+       None, ["--m-bits", "m_bits <= 2^(n-1)"])
+      for n, m in (("2", "5"), ("3", "10"), ("4", "17"), ("8", "256"), ("4", "16"))),
 ]
+
+
+def distances(spec):
+    return build_parser().parse_args(["rate-curve", "--distance-km", spec]).distance_km
 
 
 def run_process(argv):
@@ -309,6 +321,8 @@ class TestMalformedInput:
         ["consumption", "--epsilon", "1e-320"],  # subnormal: n from the exact bound
         ["attack", "--suite", "forgery", "--n", "2000", "--m-bits", "4000",
          "--trials", "0"],  # bound m/2^(n-1) underflows to 0
+        ["attack", "--suite", "forgery", "--n", "8", "--m-bits", "128",
+         "--trials", "1"],  # bound m/2^(n-1) is exactly 1
     ])
     def test_extreme_values_exit_0(self, argv):
         proc = run_process(argv)
@@ -324,6 +338,26 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert "argument --distance-km" in err.splitlines()[-1]
+
+    @pytest.mark.parametrize("spec, count", [("1e-9:2e-9:1e-10", 11),
+                                             ("0:1e-8:1e-9", 11)])
+    def test_tiny_range_stops_at_stop(self, spec, count):
+        points = distances(spec)
+        assert len(points) == count
+        assert points == sorted(set(points))
+        assert points[-1] == pytest.approx(float(spec.split(":")[1]))
+
+    @given(st.floats(0, 1e3), st.floats(1e-3, 1e2), st.floats(0, 5000))
+    def test_range_points(self, start, step, ratio):
+        stop = start + ratio * step
+        points = distances(f"{start!r}:{stop!r}:{step!r}")
+        span = (stop - start) / step
+        assert points[0] == start
+        assert all(a < b for a, b in zip(points, points[1:]))
+        assert points[-1] <= stop + 1e-9 * step  # stop within tolerance counts
+        if abs(span - round(span)) > 1e-9:
+            assert len(points) == math.floor(span) + 1
+            assert points[-1] <= stop
 
     def test_range_below_float_spacing_has_one_point(self, capsys):
         code, out = run_cli(capsys, "rate-curve", "--distance-km", "1e20:1e20:1")

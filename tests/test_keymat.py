@@ -37,7 +37,7 @@ class TestDistributeKeys:
         while total < 1_000_000:
             bundles, arb = distribute_keys(32, 9, rng)
             for b in (*bundles, arb):
-                ones += b.x.weight() + b.y.weight()
+                ones += b.x.value.bit_count() + b.y.value.bit_count()
                 total += b.x.length + b.y.length
         sigma = 0.5 / math.sqrt(total)
         assert abs(ones / total - 0.5) < 3 * sigma
@@ -156,7 +156,7 @@ class TestSecurityParams:
         sec = SecurityParams(m_bits=2**13, eps_f=1e-10, k=6)
         assert sec.n == 48
         assert sec.bits_per_link == 144
-        assert sec.total_bits == 144 * 7
+        assert total_consumption(sec.m_bits, sec.eps_f, sec.k) == 144 * 7
 
     def test_for_n_roundtrip(self):
         for n in (8, 16, 32):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aqds.config import ConfigurationError
-from aqds.keymat import SecurityParams
+from aqds.keymat import SecurityParams, total_consumption
 from aqds.netsim import (
     AdversaryScript,
     Event,
@@ -184,9 +184,9 @@ class TestRunRound:
         assert t.session_keys == t.signer_keys
 
     def test_key_accounting(self):
-        t = run_round(Topology.fully_connected(3), SEC3, seed=10)
-        assert t.security.bits_per_link == 3 * 16
-        assert t.security.total_bits == 3 * 16 * 4
+        sec = run_round(Topology.fully_connected(3), SEC3, seed=10).security
+        assert sec.bits_per_link == 3 * 16
+        assert total_consumption(sec.m_bits, sec.eps_f, sec.k) == 3 * 16 * 4
 
 
 class TestGoldenTranscript:

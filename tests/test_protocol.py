@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from aqds.gf2_hash import BitString
+from aqds.gf2_hash import BitString, LfsrToeplitzHasher, sample_irreducible
 from aqds.keymat import KeyBundle, SessionKeys, combine, distribute_keys
 from aqds.protocol import (
     ForwardPacket,
@@ -29,43 +29,47 @@ def honest_setup(n=16, k=3, m=64, seed=0):
     bundles, arb = distribute_keys(n, k, rng)
     sk = combine(bundles, arb)
     message = BitString.random(m, rng)
-    bundle, r_s = sign(message, sk, rng)
-    return rng, bundles, arb, sk, bundle, r_s
+    return rng, bundles, arb, sk, sign(message, sk, rng)
 
 
 class TestSign:
     def test_honest_end_to_end(self):
-        _, _, _, sk, bundle, _ = honest_setup()
+        _, _, _, sk, bundle = honest_setup()
         assert receiver_verify(bundle, sk) is A
 
     def test_decrypt_identity(self):
-        # stripping the pad recovers tag || polynomial encoding
-        rng, _, _, sk, bundle, r_s = honest_setup(n=12, m=40)
+        # stripping the pad recovers tag || encoding of the sampled polynomial
+        _, _, _, sk, bundle = honest_setup(n=12, m=40)
+        replay = Random(0)  # honest_setup's draws, up to the one sign makes
+        distribute_keys(12, 3, replay)
+        BitString.random(40, replay)
+        poly, r_s = sample_irreducible(12, replay)
         tag, r = (sk.xs ^ bundle.signature).split(12)
         assert r == r_s
+        assert tag == LfsrToeplitzHasher(poly, sk.ys).hash(bundle.message)
 
     def test_fresh_randomizer_per_signature(self):
         rng = Random(8)
         bundles, arb = distribute_keys(16, 2, rng)
         sk = combine(bundles, arb)
         message = BitString.random(64, rng)
-        _, r1 = sign(message, sk, Random(100))
-        _, r2 = sign(message, sk, Random(101))
+        r1, r2 = ((sk.xs ^ sign(message, sk, Random(seed)).signature).split(16)[1]
+                  for seed in (100, 101))
         assert r1 != r2
 
     def test_signature_length(self):
-        _, _, _, sk, bundle, _ = honest_setup(n=10)
+        _, _, _, sk, bundle = honest_setup(n=10)
         assert bundle.signature.length == 20
 
     def test_rejects_empty_message(self):
-        _, _, _, sk, _, _ = honest_setup()
+        _, _, _, sk, _ = honest_setup()
         with pytest.raises(ValueError):
             sign(BitString.zeros(0), sk, Random(0))
 
 
 class TestReceiverVerify:
     def test_length_mismatch_invalid(self):
-        _, _, _, sk, bundle, _ = honest_setup(n=16)
+        _, _, _, sk, bundle = honest_setup(n=16)
         short = SessionKeys(BitString.zeros(24), BitString.zeros(12))
         assert receiver_verify(bundle, short) is VerificationOutcome.INVALID
 
@@ -77,7 +81,7 @@ class TestReceiverVerify:
         for _ in range(trials):
             bundles, arb = distribute_keys(n, 1, rng)
             sk = combine(bundles, arb)
-            bundle, _ = sign(BitString.random(m, rng), sk, rng)
+            bundle = sign(BitString.random(m, rng), sk, rng)
             tampered = SignatureBundle(bundle.message.flip(rng.randrange(m)),
                                        bundle.signature)
             if receiver_verify(tampered, sk) is A:
@@ -112,7 +116,7 @@ class TestReceiverVerify:
 
 class TestArbitratorVerify:
     def test_untampered_forward_accepted(self):
-        _, bundles, _, sk, bundle, _ = honest_setup()
+        _, bundles, _, sk, bundle = honest_setup()
         packet = ForwardPacket("r1", bundle, bundles[0], sent_at=2)
         assert arbitrator_verify(packet, sk) is A
 
@@ -122,7 +126,7 @@ class TestArbitratorVerify:
             n = rng.choice([4, 8, 12])
             bundles, arb = distribute_keys(n, 1, rng)
             sk = combine(bundles, arb)
-            bundle, _ = sign(BitString.random(24, rng), sk, rng)
+            bundle = sign(BitString.random(24, rng), sk, rng)
             if trial % 2:
                 bundle = SignatureBundle(bundle.message,
                                          bundle.signature.flip(rng.randrange(2 * n)))
@@ -130,7 +134,7 @@ class TestArbitratorVerify:
             assert arbitrator_verify(packet, sk) is receiver_verify(bundle, sk)
 
     def test_packet_key_shape_validated(self):
-        _, bundles, _, sk, bundle, _ = honest_setup(n=16)
+        _, bundles, _, sk, bundle = honest_setup(n=16)
         wrong = KeyBundle(BitString.zeros(8), BitString.zeros(4))
         with pytest.raises(ValueError):
             ForwardPacket("r1", bundle, wrong, sent_at=0)
@@ -142,7 +146,7 @@ class TestCloseRound:
         bundles, arb = distribute_keys(n, k, rng)
         sk = combine(bundles, arb)
         message = BitString.random(32, rng)
-        bundle, _ = sign(message, sk, rng)
+        bundle = sign(message, sk, rng)
         ids = tuple(f"r{i}" for i in range(1, k + 1))
         record = RoundRecord.open(ids, deadline=10, arbitrator_keys=arb)
         packets = [ForwardPacket(rid, bundle, kb, sent_at=2)

@@ -10,13 +10,11 @@ from scipy.integrate import quad
 from aqds.keymat import required_n
 from aqds.qkd_model import (
     InfeasibleDistanceError,
-    LinkBudget,
     NoSignalError,
     PRESETS,
     SourceParams,
     binary_entropy,
     load_source_params,
-    rate,
     rate_at_distance,
     supported_rounds,
     time_to_sign,
@@ -119,7 +117,7 @@ class TestRateChain:
         # every pair is a clean measured coincidence and R = q B exactly
         p = SourceParams(e_pol_a=0.0, e_pol_b=0.0, dark_count=0.0, t_cc=0.0,
                          receiver_loss_db=0.0, eta_tcc=1.0)
-        r = rate(p, LinkBudget(0.0, 0.0))
+        r = rate_at_distance(p, 0.0)
         assert r.cc_true == p.brightness
         assert r.cc_acc == 0.0
         assert r.qber == 0.0
@@ -133,7 +131,7 @@ class TestRateChain:
 
     def test_qber_approaches_half_when_accidentals_dominate(self):
         p = SourceParams(dark_count=1e9, eta_tcc=1.0)
-        r = rate(p, LinkBudget(60.0, 60.0))
+        r = rate_at_distance(p, 570.0)  # 60 dB per arm
         assert r.qber == pytest.approx(0.5, abs=0.01)
         assert r.secure_rate == 0.0  # clamped: entropy terms exceed 1
 
@@ -146,7 +144,7 @@ class TestRateChain:
     def test_no_signal_error(self):
         p = SourceParams(brightness=0.0, dark_count=0.0, eta_tcc=1.0)
         with pytest.raises(NoSignalError):
-            rate(p, LinkBudget(0.0, 0.0))
+            rate_at_distance(p, 0.0)
 
     def test_paper_operating_point(self):
         # 360 km span, source at midpoint, 3 dB per receiving side
