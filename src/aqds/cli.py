@@ -130,7 +130,17 @@ def _emit(text: str, path: str | None) -> None:
 # Commands
 
 
+# 16M = 2^27 message bits, 16x the paper's 1 MB point: a round holds the
+# message and its hex encoding in memory, so the size is bounded before either
+# is built (the planners only do arithmetic on sizes and stay unbounded)
+_MAX_ROUND_BYTES = 16 << 20
+
+
 def cmd_sign_round(args) -> int:
+    if args.message_bytes > _MAX_ROUND_BYTES:
+        raise ConfigurationError(
+            f"bad --message-bytes: sign-round takes at most 16M "
+            f"({_MAX_ROUND_BYTES} bytes), got {args.message_bytes}")
     security = checked("bad --receivers: ", SecurityParams, 8 * args.message_bytes,
                        args.epsilon, args.receivers)
     script = netsim.load_script(args.script) if args.script else None

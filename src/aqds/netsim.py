@@ -129,10 +129,20 @@ class EventQueue:
 # Wire payloads: every delivery carries a (kind, body) pair
 
 
+# the last bundle encoded and its text: a round's broadcasts, forwards and
+# claims carry one bundle object, so it is encoded once per round
+_last_bundle: tuple[SignatureBundle, str] | None = None
+
+
 def _canon(body: object) -> str:
+    global _last_bundle
     if isinstance(body, SignatureBundle):
-        return (f"bundle:{body.message.to_hex()}/{body.message.length}"
-                f":{body.signature.to_hex()}/{body.signature.length}")
+        last = _last_bundle
+        if last is None or last[0] is not body:
+            last = _last_bundle = (
+                body, f"bundle:{body.message.to_hex()}/{body.message.length}"
+                      f":{body.signature.to_hex()}/{body.signature.length}")
+        return last[1]
     if isinstance(body, KeyBundle):
         return f"keys:{body.x.to_hex()}:{body.y.to_hex()}"
     if isinstance(body, SessionKeys):

@@ -184,7 +184,7 @@ def test_c11_cli_determinism(tmp_path, capsys):
 
 def test_one_megabyte_round_at_paper_epsilon(capsys):
     # the paper's budgeted point: a 2^23-bit message at eps = 1e-20 (n = 91);
-    # 1.4-2.2 s in-process on a 2-vCPU x86-64 VM, so the 10 s bound leaves
+    # 0.5-0.6 s in-process on a 2-vCPU x86-64 VM, so the 10 s bound leaves
     # room for a slow host while an O(m^2) hash would take over an hour
     start = perf_counter()
     code = main(["sign-round", "--message-bytes", "1M", "--epsilon", "1e-20",
@@ -196,3 +196,20 @@ def test_one_megabyte_round_at_paper_epsilon(capsys):
     assert seconds < 10.0
     report("1 MB round", f"2^23-bit message at eps=1e-20 accepted in "
                          f"{seconds:.2f} s (bound 10 s)")
+
+
+def test_one_megabyte_round_hundred_receivers(capsys):
+    # ROADMAP item 1's headline point: the signer, 100 receivers and the
+    # arbitrator check one 2^23-bit signature.  0.8-1.8 s in-process on a
+    # 2-vCPU x86-64 VM, because the round hashes once and encodes its bundle
+    # once; 1 + 2k = 201 hashes took about 110 s
+    start = perf_counter()
+    code = main(["sign-round", "--message-bytes", "1M", "--epsilon", "1e-20",
+                 "--receivers", "100"])
+    seconds = perf_counter() - start
+    assert code == 0
+    assert capsys.readouterr().out == "receiver,outcome,n,bits_per_link\n" + "".join(
+        f"r{i},accepted,91,273\n" for i in range(1, 101))
+    assert seconds < 10.0
+    report("1 MB round, k=100", f"2^23-bit message at eps=1e-20 accepted by "
+                                f"100 receivers in {seconds:.2f} s (bound 10 s)")

@@ -262,6 +262,9 @@ MALFORMED = [
     (["sign-round", "--receivers", "0"], None, ["--receivers"]),
     (["sign-round", "--receivers", "-2"], None, ["--receivers"]),
     (["sign-round", "--deadline", "0"], None, ["--deadline"]),
+    # checked before the message is built: 1G would be 8 Gbit
+    (["sign-round", "--message-bytes", "1G"], None, ["--message-bytes", "16M"]),
+    (["sign-round", "--message-bytes", "16385K"], None, ["--message-bytes", "16777216"]),
     (["attack", "--n", "1", "--suite", "forgery"], None, ["--n"]),
     (["consumption", "--receivers=-1"], None, ["--receivers"]),
     (["attack", "--suite", "robustness", "--n", "2000", "--m-bits", "4000",

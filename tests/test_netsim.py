@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aqds.config import ConfigurationError
+from aqds.gf2_hash import BitString
 from aqds.keymat import SecurityParams, total_consumption
 from aqds.netsim import (
     AdversaryScript,
@@ -15,11 +16,12 @@ from aqds.netsim import (
     EventQueue,
     Rule,
     Topology,
+    _canon,
     load_script,
     load_topology,
     run_round,
 )
-from aqds.protocol import VerificationOutcome
+from aqds.protocol import SignatureBundle, VerificationOutcome
 
 A = VerificationOutcome.ACCEPTED
 SEC3 = SecurityParams.for_n(16, 64, 3)
@@ -218,6 +220,17 @@ class TestGoldenTranscript:
         from pathlib import Path
         golden = Path(__file__).parent / "data" / "golden_round_multi.txt"
         assert t.render() == golden.read_text()
+
+
+class TestBundleEncoding:
+    def test_each_bundle_object_gets_its_own_text(self):
+        # the encoding is reused only for the very object last encoded
+        a = SignatureBundle(BitString(0x5A, 8), BitString(0x9, 4))
+        tampered = SignatureBundle(a.message.flip(0), a.signature)
+        twin = SignatureBundle(a.message, a.signature)
+        texts = [_canon(b) for b in (a, a, tampered, a, twin, tampered)]
+        assert texts == ["bundle:5a/8:90/4", "bundle:5a/8:90/4", "bundle:da/8:90/4",
+                         "bundle:5a/8:90/4", "bundle:5a/8:90/4", "bundle:da/8:90/4"]
 
 
 class TestAuthenticatedChannels:

@@ -1,11 +1,22 @@
 """Signing, verification, round close, and timeout claims."""
 
+import gc
 import math
+import weakref
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from aqds.gf2_hash import BitString, LfsrToeplitzHasher, sample_irreducible
+from aqds import protocol
+from aqds.gf2_hash import (
+    BitString,
+    LfsrToeplitzHasher,
+    decode_poly,
+    sample_irreducible,
+    toeplitz_oracle,
+)
 from aqds.keymat import KeyBundle, SessionKeys, combine, distribute_keys
 from aqds.protocol import (
     ForwardPacket,
@@ -212,3 +223,90 @@ class TestTimeoutForwardVerify:
         _, bundle, record, packets, keymap = TestCloseRound().setup_round()
         arbitrator_close_round(record, packets, now=10, fetched=keymap)
         assert timeout_forward_verify(record, bundle, keymap["r1"]) is False
+
+
+def signed_tag(bundle, sk):
+    """The tag and polynomial a signature carries under ``sk``."""
+    tag, r = (sk.xs ^ bundle.signature).split(sk.n)
+    return tag, decode_poly(r)
+
+
+def fresh_verdict(bundle, sk):
+    """``receiver_verify`` with the tag memo emptied, then put back."""
+    saved = protocol._last_tag
+    protocol._last_tag = None
+    try:
+        return receiver_verify(bundle, sk)
+    finally:
+        protocol._last_tag = saved
+
+
+# one step: (action, message 0-3, key set 0-2, signature bit to flip or None)
+STEPS = st.lists(st.tuples(st.sampled_from(("sign", "verify", "arbitrate")),
+                           st.integers(0, 3), st.integers(0, 2),
+                           st.none() | st.integers(0, 63)),
+                 min_size=1, max_size=24)
+
+
+class TestTagMemo:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(3, 12), st.integers(1, 80), st.integers(0, 2**32), STEPS)
+    def test_interleaved_calls_match_oracle_and_fresh_verdicts(self, n, m, seed,
+                                                               steps):
+        rng = Random(seed)
+        keys = []
+        for _ in range(3):
+            bundles, arb = distribute_keys(n, 1, rng)
+            keys.append((bundles[0], combine(bundles, arb)))
+        message = BitString.random(m, rng)
+        # the message, an equal-valued distinct object, and two tampered copies
+        messages = [message, BitString(message.value, m),
+                    message.flip(rng.randrange(m)), message.flip(0, m - 1)]
+        signed = [sign(message, keys[0][1], rng)]
+        for action, which, key, flip in steps:
+            msg = messages[which]
+            link, sk = keys[key]
+            if action == "sign":
+                bundle = sign(msg, sk, rng)
+                tag, poly = signed_tag(bundle, sk)
+                assert tag == toeplitz_oracle(poly, sk.ys, msg)
+                signed.append(bundle)
+                continue
+            signature = signed[-1].signature
+            if flip is not None:
+                signature = signature.flip(flip % signature.length)
+            bundle = SignatureBundle(msg, signature)
+            if action == "verify":
+                verdict = receiver_verify(bundle, sk)
+            else:
+                verdict = arbitrator_verify(
+                    ForwardPacket("r1", bundle, link, sent_at=0), sk)
+            assert verdict is fresh_verdict(bundle, sk)
+
+    def test_same_message_with_flipped_tag_bit_rejected(self):
+        _, _, _, sk, bundle = honest_setup()
+        assert receiver_verify(bundle, sk) is A  # the memo now holds this message
+        for bit in range(sk.n):
+            forged = SignatureBundle(bundle.message, bundle.signature.flip(bit))
+            assert receiver_verify(forged, sk) is R
+
+    def test_same_message_under_another_seed_rejected(self):
+        _, _, _, sk, bundle = honest_setup()
+        assert receiver_verify(bundle, sk) is A
+        tag, poly = signed_tag(bundle, sk)
+        for bit in range(sk.n):
+            other = SessionKeys(sk.xs, sk.ys.flip(bit))
+            # the tag under the other seed really differs, so acceptance
+            # could only come from a stale memo entry
+            assert toeplitz_oracle(poly, other.ys, bundle.message) != tag
+            assert receiver_verify(bundle, other) is R
+
+    def test_memo_holds_only_the_last_message(self):
+        rng, _, _, sk, bundle = honest_setup()
+        first = weakref.ref(bundle.message)
+        del bundle
+        gc.collect()
+        assert first() is not None  # one entry keeps the last message alive
+        sign(BitString.random(64, rng), sk, rng)
+        gc.collect()
+        assert first() is None
