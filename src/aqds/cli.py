@@ -121,9 +121,12 @@ def _emit(text: str, path: str | None) -> None:
     target = _resolve_output(path)
     if target is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(text)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {target}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +137,18 @@ def _emit(text: str, path: str | None) -> None:
 # message and its hex encoding in memory, so the size is bounded before either
 # is built (the planners only do arithmetic on sizes and stay unbounded)
 _MAX_ROUND_BYTES = 16 << 20
+# a round holds a key bundle, a forward and a few transcript lines per
+# receiver, so memory grows linearly in k: 10 000 receivers take about 2 s and
+# 36 MB (consumption only does arithmetic on k and stays unbounded)
+_MAX_ROUND_RECEIVERS = 10_000
+
+
+def _check_round_receivers(k: int) -> None:
+    """Bound --receivers before any key is drawn."""
+    if k > _MAX_ROUND_RECEIVERS:
+        raise ConfigurationError(
+            f"bad --receivers: a round takes at most {_MAX_ROUND_RECEIVERS} "
+            f"receivers, got {k}")
 
 
 def cmd_sign_round(args) -> int:
@@ -141,6 +156,7 @@ def cmd_sign_round(args) -> int:
         raise ConfigurationError(
             f"bad --message-bytes: sign-round takes at most 16M "
             f"({_MAX_ROUND_BYTES} bytes), got {args.message_bytes}")
+    _check_round_receivers(args.receivers)
     security = checked("bad --receivers: ", SecurityParams, 8 * args.message_bytes,
                        args.epsilon, args.receivers)
     script = netsim.load_script(args.script) if args.script else None
@@ -182,6 +198,7 @@ def cmd_attack(args) -> int:
                 f"bad --n/--m-bits: the forgery suite needs m_bits <= 2^(n-1), "
                 f"got n={args.n}, m_bits={args.m_bits}")
     if {"robustness", "repudiation"} & set(chosen):
+        _check_round_receivers(args.receivers)
         sec = checked("bad --n/--m-bits/--receivers: ", SecurityParams.for_n,
                       args.n, args.m_bits, args.receivers)
         topology = netsim.Topology.fully_connected(args.receivers)

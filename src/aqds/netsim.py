@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
 from random import Random
@@ -38,41 +38,32 @@ from .protocol import (
 # Topology
 
 
+SIGNER = "signer"
+ARBITRATOR = "arbitrator"
+
+
 @dataclass(frozen=True)
 class Topology:
-    """Star topology around signer and arbitrator with per-link delays."""
+    """Star around the signer and the arbitrator; every hop takes one time unit.
+
+    A late message is an adversary ``delay`` rule, not a slower link.
+    """
 
     receiver_ids: tuple[str, ...]
-    signer_id: str = "signer"
-    arbitrator_id: str = "arbitrator"
     deadline: int = 10
-    default_delay: int = 1
-    delays: Mapping[tuple[str, str], int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.receiver_ids:
             raise ValueError("at least one receiver is required")
-        nodes = (self.signer_id, self.arbitrator_id, *self.receiver_ids)
+        nodes = (SIGNER, ARBITRATOR, *self.receiver_ids)
         if len(set(nodes)) != len(nodes):
             raise ValueError("node identifiers must be distinct")
-        if self.deadline <= 0 or self.default_delay < 0:
-            raise ValueError("deadline must be positive and delays non-negative")
-        for (a, b), d in self.delays.items():
-            if a not in nodes or b not in nodes:
-                raise ValueError(f"delay for unknown link {a}->{b}")
-            if d < 0:
-                raise ValueError("link delays must be non-negative")
+        if self.deadline <= 0:
+            raise ValueError("deadline must be positive")
 
     @property
     def k(self) -> int:
         return len(self.receiver_ids)
-
-    def delay(self, a: str, b: str) -> int:
-        if (a, b) in self.delays:
-            return self.delays[(a, b)]
-        if (b, a) in self.delays:
-            return self.delays[(b, a)]
-        return self.default_delay
 
     @classmethod
     def fully_connected(cls, k: int, deadline: int = 10) -> Topology:
@@ -255,36 +246,13 @@ class AdversaryScript:
 
 
 # ---------------------------------------------------------------------------
-# Config loaders
+# Script loader
 
 
-_TOPOLOGY_KEYS = {
-    "receivers": int,
-    "receiver-ids": lambda text: tuple(x.strip() for x in text.split(",") if x.strip()),
-    "signer-id": str, "arbitrator-id": str, "deadline": int, "default-delay": int}
 _RULE_KEYS = {
     "action": str, "kind": str, "sender": str, "receiver": str, "target": str,
     "positions": lambda text: tuple(int(x) for x in text.replace(",", " ").split()),
     "delta": int, "payload-hex": str}
-
-
-def load_topology(path: str | Path) -> Topology:
-    """Read ``[topology]`` and the optional ``[delays]`` (keys ``a->b``)."""
-    ini = IniFile(path)
-    kwargs = ini.fields("topology", _TOPOLOGY_KEYS)
-    ini.only_sections("topology", "delays")
-    k = kwargs.pop("receivers", 0)
-    if "receiver_ids" not in kwargs:
-        if k < 1:
-            raise ini.error("topology", "needs receivers or receiver-ids")
-        kwargs["receiver_ids"] = tuple(f"r{i}" for i in range(1, k + 1))
-    delays = {}
-    for key in ini.sections.get("delays", {}):
-        a, arrow, b = key.partition("->")
-        if not arrow:
-            raise ini.error("delays", f"bad link spec {key!r}, expected a->b")
-        delays[(a.strip(), b.strip())] = ini.value("delays", key, int)
-    return ini.build("topology", Topology, {**kwargs, "delays": delays})
 
 
 def load_script(path: str | Path) -> AdversaryScript:
@@ -309,7 +277,6 @@ def load_script(path: str | Path) -> AdversaryScript:
 class Transcript:
     """Full record of one simulated round."""
 
-    round_id: int
     security: SecurityParams
     lines: list[str]
     outcomes: dict[str, VerificationOutcome]
@@ -325,24 +292,19 @@ class Transcript:
 
 class _RoundRunner:
     def __init__(self, topology: Topology, security: SecurityParams,
-                 script: AdversaryScript, seed: int, round_id: int,
-                 message: BitString | None) -> None:
+                 script: AdversaryScript, seed: int) -> None:
         if topology.k != security.k:
             raise ValueError("topology and security params disagree on k")
         script.validate_sized(security.m_bits, 2 * security.n)
         self.top = topology
         self.sec = security
         self.script = script
-        self.round_id = round_id
         self.rng = Random(seed)
 
         bundles, self.arb_bundle = distribute_keys(security.n, security.k, self.rng)
         self.link_keys = dict(zip(topology.receiver_ids, bundles))
         self.signer_sk = combine(bundles, self.arb_bundle)
-        if message is None:
-            message = BitString.random(security.m_bits, self.rng)
-        elif message.length != security.m_bits:
-            raise ValueError("message length contradicts the security params")
+        message = BitString.random(security.m_bits, self.rng)
         self.bundle = sign(message, self.signer_sk, self.rng)
 
         self.record = RoundRecord.open(topology.receiver_ids, topology.deadline,
@@ -358,22 +320,20 @@ class _RoundRunner:
 
     def _log(self, event: str, sender: str, receiver: str, at: int,
              text: str) -> None:
-        self.lines.append(
-            f"{self.round_id} {event} {sender} {receiver} {at} {_digest(text)}")
+        # the leading 0 is the round number the golden transcripts fix
+        self.lines.append(f"0 {event} {sender} {receiver} {at} {_digest(text)}")
 
     def _send(self, at: int, sender: str, receiver: str, kind: str,
               body: object) -> None:
         self.queue.push(at, EventKind.DELIVER, sender, receiver, (kind, body))
 
     def run(self) -> Transcript:
-        top, sec = self.top, self.sec
-        for rid in top.receiver_ids:
-            out, extra = self.script.apply("broadcast", top.signer_id, rid, self.bundle)
+        for rid in self.top.receiver_ids:
+            out, extra = self.script.apply("broadcast", SIGNER, rid, self.bundle)
             if out is not None:
-                self._send(top.delay(top.signer_id, rid) + extra, top.signer_id,
-                           rid, "broadcast", out)
-        self.queue.push(top.deadline, EventKind.DEADLINE_FIRE,
-                        top.arbitrator_id, top.arbitrator_id, None)
+                self._send(1 + extra, SIGNER, rid, "broadcast", out)
+        self.queue.push(self.top.deadline, EventKind.DEADLINE_FIRE,
+                        ARBITRATOR, ARBITRATOR, None)
         while self.queue:
             ev = self.queue.advance()
             self.last_time = max(self.last_time, ev.at)
@@ -388,10 +348,9 @@ class _RoundRunner:
             getattr(self, "_on_" + kind.replace("-", "_"))(ev, body)
         self._claims()
         return Transcript(
-            round_id=self.round_id,
-            security=sec,
+            security=self.sec,
             lines=self.lines,
-            outcomes={r: self.record.verdicts[r] for r in top.receiver_ids},
+            outcomes={r: self.record.verdicts[r] for r in self.top.receiver_ids},
             announcements=dict(self.announcements),
             timeout_claims=self.claims,
             record=self.record,
@@ -400,12 +359,11 @@ class _RoundRunner:
         )
 
     def _on_broadcast(self, ev: Event, bundle: SignatureBundle) -> None:
-        top, rid = self.top, ev.receiver
+        rid = ev.receiver
         self.receiver_copy[rid] = bundle
-        out, extra = self.script.apply("forward", rid, top.arbitrator_id, bundle)
+        out, extra = self.script.apply("forward", rid, ARBITRATOR, bundle)
         if out is not None:
-            self._send(ev.at + top.delay(rid, top.arbitrator_id) + extra, rid,
-                       top.arbitrator_id, "forward",
+            self._send(ev.at + 1 + extra, rid, ARBITRATOR, "forward",
                        ForwardPacket(rid, out, self.link_keys[rid], sent_at=ev.at))
 
     def _on_forward(self, ev: Event, packet: ForwardPacket) -> None:
@@ -414,42 +372,35 @@ class _RoundRunner:
 
     def _on_deadline(self, now: int) -> None:
         self.closed = True
-        top = self.top
-        timeouts = [r for r in top.receiver_ids if r not in self.packets]
+        timeouts = [r for r in self.top.receiver_ids if r not in self.packets]
         if timeouts:
-            self._send(now + top.delay(top.arbitrator_id, top.signer_id),
-                       top.arbitrator_id, top.signer_id, "key-request", timeouts)
+            self._send(now + 1, ARBITRATOR, SIGNER, "key-request", timeouts)
         else:
             self._finish_close(now, {})
 
     def _on_key_request(self, ev: Event, timeouts: list[str]) -> None:
-        top = self.top
-        self._send(ev.at + top.delay(top.signer_id, top.arbitrator_id),
-                   top.signer_id, top.arbitrator_id, "key-response",
+        self._send(ev.at + 1, SIGNER, ARBITRATOR, "key-response",
                    [(r, self.link_keys[r]) for r in timeouts])
 
     def _on_key_response(self, ev: Event, keys: list[tuple[str, KeyBundle]]) -> None:
         self._finish_close(ev.at, dict(keys))
 
     def _finish_close(self, now: int, fetched: Mapping[str, KeyBundle]) -> None:
-        top = self.top
         self.session = arbitrator_close_round(
             self.record, list(self.packets.values()), now, fetched)
-        for rid in top.receiver_ids:
+        for rid in self.top.receiver_ids:
             if self.record.verdicts.get(rid) is VerificationOutcome.TIMED_OUT:
-                self._log("verdict", top.arbitrator_id, rid, now,
+                self._log("verdict", ARBITRATOR, rid, now,
                           _wire("verdict", (rid, VerificationOutcome.TIMED_OUT)))
-        for rid in top.receiver_ids:
+        for rid in self.top.receiver_ids:
             if rid in self.packets:
-                self._send(now + top.delay(top.arbitrator_id, rid),
-                           top.arbitrator_id, rid, "key-release", self.session)
+                self._send(now + 1, ARBITRATOR, rid, "key-release", self.session)
 
     def _on_key_release(self, ev: Event, session: SessionKeys) -> None:
         rid = ev.receiver
         verdict = receiver_verify(self.receiver_copy[rid], session)
         self.announcements[rid] = verdict
-        self._send(ev.at + self.top.delay(rid, self.top.arbitrator_id), rid,
-                   self.top.arbitrator_id, "announce", (rid, verdict))
+        self._send(ev.at + 1, rid, ARBITRATOR, "announce", (rid, verdict))
 
     def _on_announce(self, ev: Event,
                      announcement: tuple[str, VerificationOutcome]) -> None:
@@ -461,31 +412,25 @@ class _RoundRunner:
         else:
             outcome = VerificationOutcome.REJECTED
         self.record.verdicts[rid] = outcome
-        self._log("verdict", self.top.arbitrator_id, rid, ev.at,
-                  _wire("verdict", (rid, outcome)))
+        self._log("verdict", ARBITRATOR, rid, ev.at, _wire("verdict", (rid, outcome)))
 
     def _claims(self) -> None:
         self.claims: dict[str, bool] = {}
-        top = self.top
-        for rid in top.receiver_ids:
+        for rid in self.top.receiver_ids:
             if (self.record.verdicts.get(rid) is VerificationOutcome.TIMED_OUT
                     and rid in self.receiver_copy):
                 bundle = self.receiver_copy[rid]
                 ok = timeout_forward_verify(self.record, bundle, self.link_keys[rid])
                 self.claims[rid] = ok
-                at = self.last_time + top.delay(rid, top.arbitrator_id)
-                self._log("timeout-claim", rid, top.arbitrator_id, at,
+                self._log("timeout-claim", rid, ARBITRATOR, self.last_time + 1,
                           _wire("claim", (rid, bundle, ok)))
 
 
 def run_round(topology: Topology, security: SecurityParams,
-              script: AdversaryScript | None = None, seed: int = 0,
-              round_id: int = 0, message: BitString | None = None) -> Transcript:
-    """Execute one full round and return its transcript.
+              script: AdversaryScript | None = None, seed: int = 0) -> Transcript:
+    """Execute one full round on a random message and return its transcript.
 
     The transcript (event lines, verdicts, claims) is a deterministic
     function of the arguments; malformed scripts fail before any event runs.
     """
-    runner = _RoundRunner(topology, security, script or AdversaryScript(),
-                          seed, round_id, message)
-    return runner.run()
+    return _RoundRunner(topology, security, script or AdversaryScript(), seed).run()

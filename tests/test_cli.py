@@ -1,17 +1,19 @@
 """CLI surface: flags, CSV stability, exit codes, config files."""
 
+import io
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aqds
-from aqds.cli import EXIT_BOUND, EXIT_CONFIG, EXIT_OK, build_parser, main
+from aqds.cli import EXIT_BOUND, EXIT_CONFIG, EXIT_OK, EXIT_USAGE, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -276,7 +278,54 @@ MALFORMED = [
     *((["attack", "--suite", "forgery", "--n", n, "--m-bits", m, "--trials", "1"],
        None, ["--m-bits", "m_bits <= 2^(n-1)"])
       for n, m in (("2", "5"), ("3", "10"), ("4", "17"), ("8", "256"), ("4", "16"))),
+    # checked before any key is drawn: a round's memory is linear in k
+    (["sign-round", "--receivers", "10001"], None, ["--receivers", "10000"]),
+    (["attack", "--suite", "robustness", "--receivers", "10001", "--trials", "0"],
+     None, ["--receivers", "10000"]),
+    (["attack", "--suite", "repudiation", "--receivers", "10001", "--trials", "0"],
+     None, ["--receivers", "10000"]),
 ]
+
+
+# argv values for the planners, which only do arithmetic on what they are given
+INT_TEXT = st.one_of(
+    st.integers(-3, 100).map(str), st.integers(-10**40, 10**40).map(str),
+    st.sampled_from(["1" + "0" * 400, "1e3", "0x10", "1_000", "", " ", "٣"]))
+FLOAT_TEXT = st.one_of(
+    st.floats(0, 1).map(repr), st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "5e-324", "1e-320", "1e308", "-0.0",
+                     "1e400"]))
+SIZE_TEXT = st.tuples(INT_TEXT, st.sampled_from(["", "K", "M", "G", "k", "g", "T"])).map(
+    "".join)
+RANGE_TEXT = st.lists(FLOAT_TEXT, min_size=3, max_size=3).map(":".join)
+CURVE_FLAGS = {"--preset": st.sampled_from(["table1", "lab"]),
+               "--distance-km": st.one_of(RANGE_TEXT, FLOAT_TEXT),
+               "--q-sift": FLOAT_TEXT, "--f-ec": FLOAT_TEXT,
+               "--message-bytes": SIZE_TEXT, "--epsilon": FLOAT_TEXT}
+PLANNER_FLAGS = {
+    "consumption": {"--epsilon": FLOAT_TEXT, "--receivers": INT_TEXT,
+                    "--message-bytes": SIZE_TEXT,
+                    "--format": st.sampled_from(["csv", "table", "tsv"])},
+    "rate-curve": CURVE_FLAGS,
+    "time-curve": CURVE_FLAGS,
+    "scenario": {"--name": st.sampled_from(["eight-user", "nine-user"]),
+                 "--message-bytes": SIZE_TEXT, "--epsilon": FLOAT_TEXT},
+}
+
+
+@st.composite
+def planner_argv(draw):
+    command = draw(st.sampled_from(sorted(PLANNER_FLAGS)))
+    flags = PLANNER_FLAGS[command]
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=4)):
+        # a typed value, a comma list of them, or random text
+        typed = flags[flag]
+        value = draw(st.one_of(typed, typed,
+                               st.lists(typed, min_size=2, max_size=3).map(",".join),
+                               st.text(max_size=8)))
+        argv.append(f"{flag}={value}")
+    return argv
 
 
 def distances(spec):
@@ -309,6 +358,33 @@ class TestMalformedInput:
         for name in names:
             assert name in proc.stderr
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["comparison", "--output", "{file}/out.csv"],
+        ["comparison", "--output", "{dir}"],
+        ["sign-round", "--receivers", "1", "--transcript", "{file}/round.txt"],
+        ["sign-round", "--receivers", "1", "--transcript", "{dir}"],
+    ])
+    def test_unwritable_output_exits_4(self, tmp_path, argv):
+        # a path under a regular file, or a path that is a directory
+        (tmp_path / "file").write_text("")
+        argv = [a.format(file=tmp_path / "file", dir=tmp_path) for a in argv]
+        proc = run_process(argv)
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert proc.stderr.startswith(f"aqds: cannot write {argv[-1]}: ")
+        assert proc.stderr.count("\n") == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(planner_argv())
+    def test_planner_argv_exits_with_a_contract_code(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_BOUND, EXIT_CONFIG), err.getvalue()
+        assert "Traceback" not in err.getvalue()
 
     def test_no_signal_source_exits_4(self, capsys, tmp_path):
         # a source with neither pairs nor dark counts has no coincidences,

@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from aqds.config import ConfigurationError, IniFile
-from aqds.netsim import load_script, load_topology
+from aqds.netsim import load_script
 from aqds.qkd_model import load_link_keys, load_source_params
 
 def write(tmp_path, text):
@@ -46,7 +46,6 @@ class TestUnknownKeys:
         (load_source_params, "[source]\nq_sift = 0.4\n", "q_sift"),
         (load_source_params, "[source]\nBrightness = 1\n", "Brightness"),
         (load_script, "[rule:slow]\naction = delay\ndelat = 20\n", "delat"),
-        (load_topology, "[topology]\nreceivers = 2\ndeadlne = 5\n", "deadlne"),
     ])
     def test_rejected_by_name(self, tmp_path, loader, text, key):
         with pytest.raises(ConfigurationError, match=f"unknown key '{key}'"):
@@ -57,18 +56,10 @@ class TestUnknownKeys:
             tmp_path, "[net]\narbitrator-link = Zed\nZed = 10\nAnyLink = 20\n"))
         assert scenarios["net"][1] == {"Zed": 10, "AnyLink": 20}
 
-    def test_delay_keys_must_name_a_link(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="'signer-r1'"):
-            load_topology(write(
-                tmp_path, "[topology]\nreceivers = 1\n[delays]\nsigner-r1 = 2\n"))
-
 
 # per loader: the sections and keys it knows, so that generated files reach
 # value parsing and the constructors as well as the syntax checks
 GRAMMARS = [
-    (load_topology, ["topology", "delays"],
-     ["receivers", "receiver-ids", "deadline", "default-delay", "signer-id",
-      "signer->r1", "r1->arbitrator"]),
     (load_script, ["rule:a", "rule:b"],
      ["action", "kind", "sender", "receiver", "target", "positions", "delta",
       "payload-hex"]),
