@@ -13,10 +13,16 @@ import math
 from dataclasses import dataclass
 from random import Random
 
-from .gf2_hash import BitString, Gf2Poly, sample_irreducible
-from .keymat import SecurityParams, SessionKeys, combine, distribute_keys
+from .gf2_hash import BitString, _mul, sample_irreducible
+from .keymat import SecurityParams, combine, distribute_keys
 from .netsim import AdversaryScript, Rule, Topology, run_round
-from .protocol import SignatureBundle, VerificationOutcome, receiver_verify, sign
+from .protocol import (
+    SignatureBundle,
+    VerificationOutcome,
+    accepts,
+    receiver_verify,
+    sign,
+)
 
 
 @dataclass(frozen=True)
@@ -53,15 +59,15 @@ def forgery_blind(n: int, trials: int, rng: Random, m_bits: int = 32) -> AttackR
 
     The submitted signature decrypts to a uniform digest, so acceptance
     needs the random polynomial field to decode and the random tag to match;
-    the bound is 1/2^n.
+    the bound is 1/2^n.  Each trial draws the keys (2n then n bits), the
+    message (m bits) and the signature (2n bits) as integers and judges them
+    with ``protocol.accepts``, the check under ``receiver_verify``.
     """
     successes = 0
     for _ in range(trials):
-        true_keys = SessionKeys(BitString.random(2 * n, rng), BitString.random(n, rng))
-        forged = SignatureBundle(BitString.random(m_bits, rng),
-                                 BitString.random(2 * n, rng))
-        if receiver_verify(forged, true_keys) is VerificationOutcome.ACCEPTED:
-            successes += 1
+        xs, ys = rng.getrandbits(2 * n), rng.getrandbits(n)
+        message = BitString(rng.getrandbits(m_bits), m_bits)
+        successes += accepts(message, rng.getrandbits(2 * n), xs, ys, n)
     return AttackResult(trials, successes, bound=2.0 ** -n)
 
 
@@ -84,11 +90,10 @@ def polynomial_guess_strategy(bundle: SignatureBundle, rng: Random) -> Signature
     while len(factors) < guesses:
         p, _ = sample_irreducible(n, rng)
         factors.add(p.value)
-    w = Gf2Poly(1)
+    w = 1
     for v in sorted(factors):
-        w = w * Gf2Poly(v)
-    tampered = bundle.message ^ BitString(w.value, m)
-    return SignatureBundle(tampered, bundle.signature)
+        w = _mul(w, v)
+    return SignatureBundle(BitString(bundle.message.value ^ w, m), bundle.signature)
 
 
 def forgery_known_signature(n: int, m_bits: int, trials: int, rng: Random,

@@ -9,60 +9,8 @@ bits per receiver against 3n(k+1) total for the arbitrated scheme.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from random import Random
 
-from .gf2_hash import BitString
-from .keymat import KeyBundle, SessionKeys, combine, required_n, total_consumption
-from .protocol import SignatureBundle, VerificationOutcome, receiver_verify, sign
-
-
-@dataclass(frozen=True)
-class ExtBaselineKeys:
-    """Per-receiver key pairs on the trusted-party and receiver sides."""
-
-    trusted: tuple[KeyBundle, ...]
-    receiver: tuple[KeyBundle, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.trusted) != len(self.receiver):
-            raise ValueError("need one trusted-party pair per receiver pair")
-
-    @classmethod
-    def draw(cls, n: int, k: int, rng: Random) -> ExtBaselineKeys:
-        if k < 1 or n < 2:
-            raise ValueError("need k >= 1 receivers and n >= 2")
-        trusted = tuple(KeyBundle.random(n, rng) for _ in range(k))
-        receiver = tuple(KeyBundle.random(n, rng) for _ in range(k))
-        return cls(trusted, receiver)
-
-    def session(self, i: int) -> SessionKeys:
-        """Combined keys for flow i: trusted pair XOR receiver pair."""
-        return combine([self.receiver[i]], self.trusted[i])
-
-
-@dataclass(frozen=True)
-class ExtFlowResult:
-    bundle: SignatureBundle
-    receiver_verdict: VerificationOutcome
-
-
-def ext_round(message: BitString, k: int, n: int, rng: Random,
-              ) -> tuple[list[ExtFlowResult], ExtBaselineKeys]:
-    """Run the k independent sign/verify flows of the baseline, honestly.
-
-    Returns one result per receiver along with the drawn keys so callers
-    can replay tampered bundles against individual flows.  An honest
-    receiver forwards its bundle unchanged and the trusted party runs the
-    same check on the same keys, so the receiver's verdict is also the
-    trusted party's.
-    """
-    keys = ExtBaselineKeys.draw(n, k, rng)
-    results = []
-    for i in range(k):
-        sk = keys.session(i)
-        bundle = sign(message, sk, rng)
-        results.append(ExtFlowResult(bundle, receiver_verify(bundle, sk)))
-    return results, keys
+from .keymat import required_n, total_consumption
 
 
 def ext_consumption(k: int, n: int) -> int:

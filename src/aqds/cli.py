@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import math
 import os
@@ -129,6 +130,31 @@ def _emit(text: str, path: str | None) -> None:
         raise ConfigurationError(f"cannot write {target}: {exc}") from exc
 
 
+def _check_writable(path: str | None) -> None:
+    """Raise the error ``_emit`` would raise for ``path``, writing nothing.
+
+    The nearest existing path on the way up must be the target as a
+    writable file, or a writable directory that ``_emit`` can create the
+    rest of the path in.
+    """
+    target = _resolve_output(path)
+    if target is None:
+        return
+    try:
+        found = next(p for p in (target, *target.parents) if p.exists())
+    except OSError as exc:  # a directory on the way that cannot be searched
+        raise ConfigurationError(f"cannot write {target}: {exc}") from exc
+    if found == target:
+        code = errno.EISDIR if found.is_dir() else None
+    else:
+        code = None if found.is_dir() else errno.ENOTDIR
+    if code is None and not os.access(found, os.W_OK):
+        code = errno.EACCES
+    if code is not None:
+        raise ConfigurationError(
+            f"cannot write {target}: {OSError(code, os.strerror(code))}")
+
+
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -162,6 +188,9 @@ def cmd_sign_round(args) -> int:
     script = netsim.load_script(args.script) if args.script else None
     topology = checked("bad --deadline: ", netsim.Topology.fully_connected,
                        args.receivers, deadline=args.deadline)
+    # both outputs are checked before the round, so exit 4 leaves nothing written
+    _check_writable(args.output)
+    _check_writable(args.transcript)
     try:
         transcript = netsim.run_round(topology, security, script, seed=args.seed)
     except ConfigurationError as exc:  # a rule that does not fit the round's sizes

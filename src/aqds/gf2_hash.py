@@ -243,16 +243,17 @@ def sample_irreducible(n: int, rng: Random) -> tuple[Gf2Poly, BitString]:
 
     Rejection-samples the n low coefficients until the polynomial (with
     implicit leading 1) is irreducible, so the draw is uniform over all
-    monic irreducibles of degree n.
+    monic irreducibles of degree n.  Draws are tested as plain integers
+    through the cached ``_is_irreducible_value``, not ``poly_is_irreducible``;
+    only the accepted draw becomes a ``Gf2Poly`` and a ``BitString``.
     """
     if n < 2:
         raise ValueError("degree must be at least 2")
     lead = 1 << n
     while True:
         low = rng.getrandbits(n)
-        p = Gf2Poly(low | lead)
-        if poly_is_irreducible(p):
-            return p, BitString(low, n)
+        if _is_irreducible_value(low | lead):
+            return Gf2Poly(low | lead), BitString(low, n)
 
 
 # ---------------------------------------------------------------------------

@@ -68,11 +68,11 @@ class ForwardPacket:
 
 # the last tag computed: (message object, polynomial value, seed, tag); one
 # entry, so it holds at most one message alive
-_last_tag: tuple[BitString, int, BitString, BitString] | None = None
+_last_tag: tuple[BitString, int, int, int] | None = None
 
 
-def _tag(poly: Gf2Poly, seed: BitString, message: BitString) -> BitString:
-    """The LFSR-Toeplitz tag of ``message`` under (poly, seed).
+def _tag(poly: Gf2Poly, seed: int, message: BitString) -> int:
+    """The LFSR-Toeplitz tag of ``message`` under (poly, seed), as an int.
 
     In a round, the signer, every receiver and the arbitrator tag the same
     message object under the same keys, so the last tag is reused when the
@@ -86,7 +86,7 @@ def _tag(poly: Gf2Poly, seed: BitString, message: BitString) -> BitString:
     if (last is not None and last[0] is message and last[1] == poly.value
             and last[2] == seed):
         return last[3]
-    tag = LfsrToeplitzHasher(poly, seed).hash(message)
+    tag = LfsrToeplitzHasher(poly, BitString(seed, poly.degree)).hash(message).value
     _last_tag = (message, poly.value, seed, tag)
     return tag
 
@@ -98,21 +98,34 @@ def sign(message: BitString, sk: SessionKeys, rng: Random) -> SignatureBundle:
     """
     if message.length < 1:
         raise ValueError("message must be non-empty")
-    poly, r_s = sample_irreducible(sk.n, rng)
-    tag = _tag(poly, sk.ys, message)
-    return SignatureBundle(message, sk.xs ^ tag.concat(r_s))
+    n = sk.n
+    poly, r_s = sample_irreducible(n, rng)
+    plain = _tag(poly, sk.ys.value, message) | r_s.value << n
+    return SignatureBundle(message, BitString(sk.xs.value ^ plain, 2 * n))
+
+
+def accepts(message: BitString, signature: int, xs: int, ys: int, n: int) -> bool:
+    """Whether a 2n-bit ``signature`` verifies ``message`` under keys (xs, ys).
+
+    Strips the pad xs, decodes the upper n bits as the polynomial (a
+    reducible decode rejects) and compares the lower n bits with the tag
+    of ``message`` under (polynomial, ys).  Keys and signature are plain
+    integers, so attack trials can call it without building key objects.
+    """
+    plain = xs ^ signature
+    poly = decode_poly(BitString(plain >> n, n))
+    return poly is not None and _tag(poly, ys, message) == plain & ((1 << n) - 1)
 
 
 def receiver_verify(bundle: SignatureBundle, sk: SessionKeys) -> VerificationOutcome:
-    """Receiver-side check of the broadcast bundle against the released keys."""
+    """Receiver-side check of the broadcast bundle against the released keys.
+
+    INVALID when the signature length does not match the keys; otherwise
+    ``accepts`` decides between ACCEPTED and REJECTED.
+    """
     if bundle.signature.length != sk.xs.length:
         return VerificationOutcome.INVALID
-    n = sk.n
-    tag, r = (sk.xs ^ bundle.signature).split(n)
-    poly = decode_poly(r)
-    if poly is None:
-        return VerificationOutcome.REJECTED
-    if _tag(poly, sk.ys, bundle.message) == tag:
+    if accepts(bundle.message, bundle.signature.value, sk.xs.value, sk.ys.value, sk.n):
         return VerificationOutcome.ACCEPTED
     return VerificationOutcome.REJECTED
 

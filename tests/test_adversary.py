@@ -186,6 +186,16 @@ class TestExactForgeryRates:
             for m in range(n + 1, min(2 ** (n - 1), 5000) + 1):
                 assert guess_rate(n, m) <= Fraction(m, 2 ** (n - 1)), (n, m)
 
+    def test_blind_rate_is_exact_over_every_key(self):
+        # one fixed forged bundle against all 2^12 (xs, ys) at n = 4: the pad
+        # makes the digest uniform, so exactly I_4/4^4 of the keys accept it
+        rng = Random(11)
+        forged = SignatureBundle(BitString.random(32, rng), BitString.random(8, rng))
+        keys = (SessionKeys(BitString(xs, 8), BitString(ys, 4))
+                for xs in range(1 << 8) for ys in range(1 << 4))
+        accepted = sum(receiver_verify(forged, sk) is A for sk in keys)
+        assert Fraction(accepted, 1 << 12) == blind_rate(4) == Fraction(3, 256)
+
     @pytest.mark.parametrize("experiment, exact", [
         (lambda rng: forgery_blind(4, 60_000, rng), blind_rate(4)),
         # 1/3 + (2/3)/16 = 0.375; g/I_n alone (1/3) is 6.7 sigma away
@@ -195,6 +205,24 @@ class TestExactForgeryRates:
         res = experiment(Random(10))
         p = float(exact)
         assert abs(res.rate - p) <= 3 * math.sqrt(p * (1 - p) / res.trials)
+
+
+class TestDrawOrder:
+    # counts fixed by the rng draw order of each experiment: a change that
+    # draws keys, messages, signatures or polynomials in another order (or
+    # draws more or fewer bits) changes them
+    @pytest.mark.parametrize("experiment, counts", [
+        (lambda: forgery_blind(8, 20000, Random(5)), (20000, 7, None)),
+        (lambda: forgery_known_signature(10, 32, 2000, Random(6), known_keys=1),
+         (2000, 68, None)),
+        (lambda: forgery_known_signature(10, 32, 2000, Random(7), known_keys=6),
+         (2000, 79, None)),
+        (lambda: repudiation_experiment(Topology.fully_connected(3), 200, Random(8)),
+         (200, 0, 200)),
+    ], ids=["blind", "known-signature-1", "known-signature-6", "repudiation"])
+    def test_counts_pinned(self, experiment, counts):
+        res = experiment()
+        assert (res.trials, res.successes, res.applicable) == counts
 
 
 class TestRepudiation:

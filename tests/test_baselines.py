@@ -1,59 +1,8 @@
-"""Fixed-trusted-party baseline flows and the comparison table."""
-
-from random import Random
+"""Fixed-trusted-party baseline key cost and the comparison table."""
 
 import pytest
 
-from aqds.baselines import (
-    ComparisonRow,
-    ExtBaselineKeys,
-    LITERATURE_ROWS,
-    comparison_table,
-    ext_consumption,
-    ext_round,
-)
-from aqds.gf2_hash import BitString
-from aqds.protocol import SignatureBundle, VerificationOutcome, receiver_verify
-
-A = VerificationOutcome.ACCEPTED
-
-
-class TestExtRound:
-    def test_honest_round_all_accept(self):
-        rng = Random(0)
-        results, _ = ext_round(BitString.random(64, rng), k=3, n=16, rng=rng)
-        assert len(results) == 3
-        for r in results:
-            assert r.receiver_verdict is A
-
-    def test_honest_acceptance_over_ten_thousand_flows(self):
-        rng = Random(1)
-        flows = 0
-        for _ in range(2500):
-            results, _ = ext_round(BitString.random(24, rng), k=4, n=8, rng=rng)
-            assert all(r.receiver_verdict is A for r in results)
-            flows += len(results)
-        assert flows == 10_000
-
-    def test_signatures_pairwise_distinct(self):
-        rng = Random(2)
-        for _ in range(100):
-            results, _ = ext_round(BitString.random(48, rng), k=4, n=16, rng=rng)
-            sigs = [r.bundle.signature for r in results]
-            assert len({s.value for s in sigs}) == len(sigs)
-
-    def test_tampering_flags_only_that_flow(self):
-        rng = Random(3)
-        results, keys = ext_round(BitString.random(64, rng), k=3, n=16, rng=rng)
-        tampered = SignatureBundle(results[1].bundle.message.flip(5),
-                                   results[1].bundle.signature)
-        assert receiver_verify(tampered, keys.session(1)) is not A
-        for i in (0, 2):
-            assert receiver_verify(results[i].bundle, keys.session(i)) is A
-
-    def test_validates_arguments(self):
-        with pytest.raises(ValueError):
-            ext_round(BitString.random(8, Random(0)), k=0, n=8, rng=Random(0))
+from aqds.baselines import LITERATURE_ROWS, comparison_table, ext_consumption
 
 
 class TestExtConsumption:

@@ -364,6 +364,9 @@ class TestMalformedInput:
         ["comparison", "--output", "{dir}"],
         ["sign-round", "--receivers", "1", "--transcript", "{file}/round.txt"],
         ["sign-round", "--receivers", "1", "--transcript", "{dir}"],
+        # a writable --output is not written when --transcript is not
+        ["sign-round", "--receivers", "1", "--output", "{dir}/table.csv",
+         "--transcript", "{dir}"],
     ])
     def test_unwritable_output_exits_4(self, tmp_path, argv):
         # a path under a regular file, or a path that is a directory
@@ -373,6 +376,9 @@ class TestMalformedInput:
         assert proc.returncode == EXIT_CONFIG, proc.stderr
         assert proc.stderr.startswith(f"aqds: cannot write {argv[-1]}: ")
         assert proc.stderr.count("\n") == 1
+        # exit 4 writes nothing
+        assert proc.stdout == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
     @settings(max_examples=300, deadline=None)
     @given(planner_argv())

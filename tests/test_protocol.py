@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 from aqds import protocol
 from aqds.gf2_hash import (
     BitString,
+    Gf2Poly,
     LfsrToeplitzHasher,
     decode_poly,
+    poly_is_irreducible,
     sample_irreducible,
     toeplitz_oracle,
 )
@@ -310,3 +312,25 @@ class TestTagMemo:
         sign(BitString.random(64, rng), sk, rng)
         gc.collect()
         assert first() is None
+
+
+class TestIntCoreExhaustive:
+    @pytest.mark.parametrize("n, messages", [
+        (2, [BitString(v, m) for m in range(1, 5) for v in range(1 << m)]),
+        (3, [BitString(0b1, 1), BitString(0b0110, 4), BitString(0xA5, 8)]),
+    ], ids=["n2-every-message-1-4-bits", "n3-three-messages"])
+    def test_receiver_verify_equals_oracle_recomputation(self, n, messages):
+        # every (xs, ys, signature): the signature is xs ^ plain, so running
+        # plain and xs over all values covers every signature under every pad
+        for message in messages:
+            for plain in range(1 << 2 * n):
+                poly = Gf2Poly(plain >> n | 1 << n)
+                tag = BitString(plain & ((1 << n) - 1), n)
+                for ys in range(1 << n):
+                    seed = BitString(ys, n)
+                    want = A if (poly_is_irreducible(poly)
+                                 and toeplitz_oracle(poly, seed, message) == tag) else R
+                    for xs in range(1 << 2 * n):
+                        bundle = SignatureBundle(message, BitString(xs ^ plain, 2 * n))
+                        sk = SessionKeys(BitString(xs, 2 * n), seed)
+                        assert fresh_verdict(bundle, sk) is want, (bundle, sk)
