@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from random import Random
 
 from .gf2_hash import BitString, _mul, sample_irreducible
@@ -27,11 +28,11 @@ from .protocol import (
 
 @dataclass(frozen=True)
 class AttackResult:
-    """Trial count, successes, and the analytic bound they are held to."""
+    """Trial count, successes, and the exact analytic bound they are held to."""
 
     trials: int
     successes: int
-    bound: float
+    bound: Fraction
     applicable: int | None = None
 
     def __post_init__(self) -> None:
@@ -44,10 +45,11 @@ class AttackResult:
 
     @property
     def threshold(self) -> float:
-        if self.trials == 0 or not 0.0 < self.bound < 1.0:
-            return self.bound
-        sigma = math.sqrt(self.bound * (1.0 - self.bound) / self.trials)
-        return self.bound + 3.0 * sigma
+        """The bound plus three binomial standard deviations, as a float."""
+        bound = float(self.bound)  # finite: m <= 2^(n-1) keeps a bound at most 1
+        if self.trials == 0 or not 0 < self.bound < 1:
+            return bound
+        return bound + 3.0 * math.sqrt(bound * (1.0 - bound) / self.trials)
 
     @property
     def within_bound(self) -> bool:
@@ -68,7 +70,7 @@ def forgery_blind(n: int, trials: int, rng: Random, m_bits: int = 32) -> AttackR
         xs, ys = rng.getrandbits(2 * n), rng.getrandbits(n)
         message = BitString(rng.getrandbits(m_bits), m_bits)
         successes += accepts(message, rng.getrandbits(2 * n), xs, ys, n)
-    return AttackResult(trials, successes, bound=2.0 ** -n)
+    return AttackResult(trials, successes, bound=Fraction(1, 2 ** n))
 
 
 def polynomial_guess_strategy(bundle: SignatureBundle, rng: Random) -> SignatureBundle:
@@ -116,7 +118,7 @@ def forgery_known_signature(n: int, m_bits: int, trials: int, rng: Random,
         forged = polynomial_guess_strategy(bundle, rng)
         if receiver_verify(forged, sk) is VerificationOutcome.ACCEPTED:
             successes += 1
-    return AttackResult(trials, successes, bound=math.ldexp(m_bits, 1 - n))
+    return AttackResult(trials, successes, bound=Fraction(m_bits, 2 ** (n - 1)))
 
 
 def _tamper_rules(rid: str, m_bits: int, n: int, rng: Random) -> list[Rule]:
@@ -163,7 +165,7 @@ def repudiation_experiment(topology: Topology, trials: int, rng: Random,
         if all(t.outcomes[r] is not VerificationOutcome.ACCEPTED
                for r in topology.receiver_ids):
             successes += 1
-    return AttackResult(trials, successes, bound=0.0, applicable=applicable)
+    return AttackResult(trials, successes, bound=Fraction(0), applicable=applicable)
 
 
 def robustness_experiment(topology: Topology, trials: int, rng: Random,
@@ -176,4 +178,4 @@ def robustness_experiment(topology: Topology, trials: int, rng: Random,
         t = run_round(topology, security, seed=rng.getrandbits(64))
         if any(v is not VerificationOutcome.ACCEPTED for v in t.outcomes.values()):
             successes += 1
-    return AttackResult(trials, successes, bound=0.0)
+    return AttackResult(trials, successes, bound=Fraction(0))

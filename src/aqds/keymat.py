@@ -8,7 +8,6 @@ signer and arbitrator derive identical keys from identical inputs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
@@ -78,12 +77,12 @@ def combine(bundles: Sequence[KeyBundle], arb: KeyBundle) -> SessionKeys:
     return SessionKeys(xs, ys)
 
 
-def required_n(m_bits: int, eps_f: float) -> int:
+def required_n(m_bits: int, eps_f: float | Fraction) -> int:
     """Minimal digest half-length n with m / 2^(n-1) <= eps_f.
 
-    The comparison is exact (the float bound is taken at its binary value,
-    subnormals included), so table reproductions cannot drift by one from
-    rounding.
+    The comparison is exact: a float bound is taken at its binary value,
+    subnormals included, and a ``Fraction`` as it stands, so table
+    reproductions cannot drift by one from rounding.
     """
     if m_bits < 1:
         raise ValueError("message length must be at least 1 bit")
@@ -116,7 +115,7 @@ class SecurityParams:
     """
 
     m_bits: int
-    eps_f: float
+    eps_f: float | Fraction
     k: int
     n: int = field(init=False)
 
@@ -129,24 +128,15 @@ class SecurityParams:
     def for_n(cls, n: int, m_bits: int, k: int) -> SecurityParams:
         """Parameters that make a chosen n minimal: eps_f = m / 2^(n-1).
 
-        Convenient for experiments that sweep n directly.  Raises when that
-        bound is not exact as a float (m has more than 53 significant bits,
-        or the bound falls below the normal range and loses bits), since the
-        rounded bound would make a different n minimal.
+        The bound is the exact ``Fraction``, so every n >= 2 with
+        m < 2^(n-1) is reachable.  Convenient for experiments that sweep n
+        directly.
         """
         if n < 2:
             raise ValueError("n must be at least 2")
         if m_bits >= 2 ** (n - 1):
             raise ValueError("m too long for this n")
-        eps = max(m_bits, 1) / 2 ** (n - 1)
-        # a bound rounded to 0 or 1 goes back inside (0, 1), so that the
-        # constructor still reports a bad k or m first
-        eps = min(max(eps, math.ulp(0.0)), 1 - 2 ** -53)
-        params = cls(m_bits=m_bits, eps_f=eps, k=k)
-        if params.n != n:
-            raise ValueError(f"no float forgery bound makes n = {n} minimal: "
-                             f"m / 2^(n-1) is not exact as a float")
-        return params
+        return cls(m_bits=m_bits, eps_f=Fraction(max(m_bits, 1), 2 ** (n - 1)), k=k)
 
     @property
     def bits_per_link(self) -> int:

@@ -9,7 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import aqds
@@ -269,10 +269,11 @@ MALFORMED = [
     (["sign-round", "--message-bytes", "16385K"], None, ["--message-bytes", "16777216"]),
     (["attack", "--n", "1", "--suite", "forgery"], None, ["--n"]),
     (["consumption", "--receivers=-1"], None, ["--receivers"]),
-    (["attack", "--suite", "robustness", "--n", "2000", "--m-bits", "4000",
-      "--trials", "0"], None, ["--n", "n = 2000 minimal"]),
+    # checked before any suite runs: 2^(n-1) alone may exhaust memory
+    (["attack", "--suite", "robustness", "--n", "1099511627776", "--m-bits", "64",
+      "--trials", "0"], None, ["--n", "2048"]),
     (["attack", "--suite", "forgery", "--n", "2", "--m-bits", "1" + "0" * 320,
-      "--trials", "0"], None, ["--m-bits"]),
+      "--trials", "0"], None, ["--m-bits", "134217728"]),
     # m > 2^(n-1): the guess strategy needs more distinct irreducibles than
     # exist (these never returned), or the bound exceeds 1 (m = 16 crashed)
     *((["attack", "--suite", "forgery", "--n", n, "--m-bits", m, "--trials", "1"],
@@ -284,6 +285,8 @@ MALFORMED = [
      None, ["--receivers", "10000"]),
     (["attack", "--suite", "repudiation", "--receivers", "10001", "--trials", "0"],
      None, ["--receivers", "10000"]),
+    (["attack", "--suite", "forgery", "--n", "64", "--m-bits", "4294967296",
+      "--trials", "1"], None, ["--m-bits", "134217728"]),
 ]
 
 
@@ -326,6 +329,40 @@ def planner_argv(draw):
                                st.text(max_size=8)))
         argv.append(f"{flag}={value}")
     return argv
+
+
+def _runs_no_trial(text):
+    try:
+        return int(text) <= 0
+    except ValueError:
+        return True
+
+
+# attack argv values; --trials is always given and never positive, so every
+# check runs but no trial does (the default 5000 trials at n = 2048 take hours)
+ATTACK_FLAGS = {"--suite": st.sampled_from(["robustness", "forgery", "repudiation",
+                                            "all", "collision"]),
+                "--n": INT_TEXT, "--m-bits": INT_TEXT, "--receivers": INT_TEXT}
+TRIALS_TEXT = st.one_of(st.just("0"), st.integers(-10**40, -1).map(str),
+                        st.text(max_size=8).filter(_runs_no_trial))
+
+
+@st.composite
+def attack_argv(draw):
+    return ["attack", f"--trials={draw(TRIALS_TEXT)}",
+            *(f"{flag}={draw(value)}" for flag, value in ATTACK_FLAGS.items())]
+
+
+def assert_contract_code(argv):
+    """``main(argv)`` in-process exits 0, 2, 3 or 4 and prints no traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_BOUND, EXIT_CONFIG), err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 def distances(spec):
@@ -383,14 +420,14 @@ class TestMalformedInput:
     @settings(max_examples=300, deadline=None)
     @given(planner_argv())
     def test_planner_argv_exits_with_a_contract_code(self, argv):
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse usage errors
-                code = exc.code
-        assert code in (EXIT_OK, EXIT_USAGE, EXIT_BOUND, EXIT_CONFIG), err.getvalue()
-        assert "Traceback" not in err.getvalue()
+        assert_contract_code(argv)
+
+    @settings(max_examples=300, deadline=None)
+    @given(attack_argv())
+    # 2^(n-1) of this n does not fit in memory
+    @example(["attack", "--suite=robustness", "--n=1099511627776", "--trials=0"])
+    def test_attack_argv_exits_with_a_contract_code(self, argv):
+        assert_contract_code(argv)
 
     def test_no_signal_source_exits_4(self, capsys, tmp_path):
         # a source with neither pairs nor dark counts has no coincidences,
@@ -404,10 +441,13 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("argv", [
         ["consumption", "--epsilon", "1e-320"],  # subnormal: n from the exact bound
+        # the bound m/2^(n-1) is exact; only its CSV rendering underflows to 0
         ["attack", "--suite", "forgery", "--n", "2000", "--m-bits", "4000",
-         "--trials", "0"],  # bound m/2^(n-1) underflows to 0
+         "--trials", "0"],
         ["attack", "--suite", "forgery", "--n", "8", "--m-bits", "128",
          "--trials", "1"],  # bound m/2^(n-1) is exactly 1
+        ["attack", "--suite", "robustness", "--n", "2000", "--m-bits", "4000",
+         "--trials", "0"],
     ])
     def test_extreme_values_exit_0(self, argv):
         proc = run_process(argv)

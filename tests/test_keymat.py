@@ -5,7 +5,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aqds.gf2_hash import BitString
@@ -168,22 +168,17 @@ class TestSecurityParams:
             SecurityParams.for_n(4, 64, 1)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.data())
-    def test_for_n_is_exact_below_2_to_53(self, data):
-        # m < 2^53 and n <= 1074 keep m / 2^(n-1) exact as a float, down
-        # into the subnormals, so the chosen n is always the minimal one
-        n = data.draw(st.integers(2, 1074))
-        m = data.draw(st.integers(1, min(2**53, 2 ** (n - 1)) - 1))
+    @given(st.integers(2, 2048).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(1, 2 ** (n - 1) - 1))))
+    # the bound m / 2^(n-1) is exact, also where no float holds it: a
+    # subnormal that loses m's low bits, m with 61 significant bits, and a
+    # bound below the smallest subnormal
+    @example((1080, 4001))
+    @example((1060, 2**60 + 1))
+    @example((2000, 4000))
+    def test_for_n_is_exact(self, n_and_m):
+        n, m = n_and_m
         assert SecurityParams.for_n(n, m, 1).n == n
-
-    @pytest.mark.parametrize("n, m", [
-        (1080, 4001),       # bound is subnormal and loses m's low bits
-        (1060, 2**60 + 1),  # m has 61 significant bits
-        (2000, 4000),       # bound underflows to 0
-    ])
-    def test_for_n_raises_when_the_bound_is_no_float(self, n, m):
-        with pytest.raises(ValueError, match=f"n = {n} minimal"):
-            SecurityParams.for_n(n, m, 1)
 
     def test_for_n_exact_far_beyond_double_range(self):
         assert SecurityParams.for_n(2000, 2**1063, 1).n == 2000
