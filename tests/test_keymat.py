@@ -168,6 +168,15 @@ class TestSecurityParams:
             SecurityParams.for_n(4, 64, 1)
 
     @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_for_n_is_exact_below_2_to_53(self, data):
+        # m < 2^53 and n <= 1074 keep m / 2^(n-1) exact as a float, down
+        # into the subnormals, so the chosen n is always the minimal one
+        n = data.draw(st.integers(2, 1074))
+        m = data.draw(st.integers(1, min(2**53, 2 ** (n - 1)) - 1))
+        assert SecurityParams.for_n(n, m, 1).n == n
+
+    @settings(max_examples=300, deadline=None)
     @given(st.integers(2, 2048).flatmap(
         lambda n: st.tuples(st.just(n), st.integers(1, 2 ** (n - 1) - 1))))
     # the bound m / 2^(n-1) is exact, also where no float holds it: a
