@@ -73,6 +73,12 @@ def forgery_blind(n: int, trials: int, rng: Random, m_bits: int = 32) -> AttackR
     return AttackResult(trials, successes, bound=Fraction(1, 2 ** n))
 
 
+def _check_guess_room(n: int, m_bits: int) -> None:
+    """Require n < m <= 2^(n-1): above 2^(n-1) there may be too few irreducibles."""
+    if not n < m_bits or (m_bits - 1).bit_length() >= n:
+        raise ValueError("message length must be in (n, 2^(n-1)] to host the guesses")
+
+
 def polynomial_guess_strategy(bundle: SignatureBundle, rng: Random) -> SignatureBundle:
     """Tamper the message by a product of freshly guessed irreducibles.
 
@@ -85,9 +91,8 @@ def polynomial_guess_strategy(bundle: SignatureBundle, rng: Random) -> Signature
     """
     n = bundle.n
     m = bundle.message.length
+    _check_guess_room(n, m)
     guesses = max(1, (m - 1) // n)
-    if not n < m <= 1 << (n - 1):  # above 2^(n-1) there may be too few irreducibles
-        raise ValueError("message length must be in (n, 2^(n-1)] to host the guesses")
     factors: set[int] = set()
     while len(factors) < guesses:
         p, _ = sample_irreducible(n, rng)
@@ -105,8 +110,9 @@ def forgery_known_signature(n: int, m_bits: int, trials: int, rng: Random,
     Per trial a full honest signing happens, the attacker is handed the
     bundle plus ``known_keys`` receiver-link bundles (never the arbitrator
     link), and its forgery is judged by the arbitrator's check.  Bound:
-    m / 2^(n-1).
+    m / 2^(n-1), which n < m <= 2^(n-1) keeps in (0, 1] even when no trial runs.
     """
+    _check_guess_room(n, m_bits)
     if known_keys < 1:
         raise ValueError("the attacker is a receiver and holds its own keys")
     successes = 0

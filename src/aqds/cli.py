@@ -172,6 +172,13 @@ _MAX_ATTACK_N = 2048
 # receiver, so memory grows linearly in k: 10 000 receivers take about 2 s and
 # 36 MB (consumption only does arithmetic on k and stays unbounded)
 _MAX_ROUND_RECEIVERS = 10_000
+# at the defaults (n = 8, m = 32, k = 3) a trial runs at about 141 000/s in the
+# blind forgery suite, 12 000/s in the known-signature one, 3 500/s in
+# robustness and 2 700/s in repudiation (2-vCPU x86-64, Python 3.11); 10^7 is
+# 100x the acceptance checks' 10^5 and lets the blind suite test the bound 2^-20
+# (64 000 trials/s at n = 20) in under 3 minutes, while --suite all at the
+# defaults takes about 2 h at the bound
+_MAX_ATTACK_TRIALS = 10_000_000
 
 
 def _check_round_receivers(k: int) -> None:
@@ -216,6 +223,10 @@ def cmd_attack(args) -> int:
     # every suite's arguments are checked before the first one runs
     if args.trials < 0:
         raise ConfigurationError(f"bad --trials: must be non-negative, got {args.trials}")
+    if args.trials > _MAX_ATTACK_TRIALS:
+        raise ConfigurationError(
+            f"bad --trials: attack takes at most {_MAX_ATTACK_TRIALS} trials, "
+            f"got {args.trials}")
     if args.n > _MAX_ATTACK_N:
         raise ConfigurationError(
             f"bad --n: attack takes at most n = {_MAX_ATTACK_N}, got {args.n}")

@@ -68,13 +68,19 @@ def distribute_keys(n: int, k: int, rng: Random) -> tuple[list[KeyBundle], KeyBu
 
 
 def combine(bundles: Sequence[KeyBundle], arb: KeyBundle) -> SessionKeys:
-    """XOR of all receiver-link keys with the arbitrator-link keys."""
-    xs = arb.x
-    ys = arb.y
+    """XOR of all receiver-link keys with the arbitrator-link keys.
+
+    The XOR runs on the ``value`` ints; two ``BitString``s are built at the
+    end.
+    """
+    n = arb.n
+    xs, ys = arb.x.value, arb.y.value
     for b in bundles:
-        xs = xs ^ b.x
-        ys = ys ^ b.y
-    return SessionKeys(xs, ys)
+        if b.y.length != n:  # a KeyBundle's x is 2n bits, so y's length decides
+            raise ValueError("XOR requires equal lengths")
+        xs ^= b.x.value
+        ys ^= b.y.value
+    return SessionKeys(BitString(xs, 2 * n), BitString(ys, n))
 
 
 def required_n(m_bits: int, eps_f: float | Fraction) -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
 from random import Random
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .config import ConfigurationError, IniFile
 from .gf2_hash import BitString
@@ -81,36 +81,41 @@ class EventKind(IntEnum):
     DELIVER = 1
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
+    """A queued event; as a tuple it orders by (at, kind, sender, seq).
+
+    ``seq`` is unique per queue, so a comparison never reaches ``receiver``
+    or ``payload``.
+    """
+
     at: int
     kind: EventKind
     sender: str
+    seq: int
     receiver: str
     payload: object
-    seq: int = 0
 
     @property
     def sort_key(self) -> tuple[int, int, str, int]:
-        return (self.at, int(self.kind), self.sender, self.seq)
+        return self[:4]
 
 
 class EventQueue:
     """Min-heap of events under the (time, kind, sender, seq) total order."""
 
     def __init__(self) -> None:
-        self._heap: list[tuple[tuple[int, int, str, int], Event]] = []
+        self._heap: list[Event] = []
         self._next_seq = 0
 
     def push(self, at: int, kind: EventKind, sender: str, receiver: str,
              payload: object) -> Event:
-        ev = Event(at, kind, sender, receiver, payload, self._next_seq)
+        ev = Event(at, kind, sender, self._next_seq, receiver, payload)
         self._next_seq += 1
-        heapq.heappush(self._heap, (ev.sort_key, ev))
+        heapq.heappush(self._heap, ev)
         return ev
 
     def advance(self) -> Event:
-        return heapq.heappop(self._heap)[1]
+        return heapq.heappop(self._heap)
 
     def __bool__(self) -> bool:
         return bool(self._heap)
@@ -125,28 +130,31 @@ class EventQueue:
 _last_bundle: tuple[SignatureBundle, str] | None = None
 
 
-def _canon(body: object) -> str:
+def _canon_bundle(body: SignatureBundle) -> str:
     global _last_bundle
-    if isinstance(body, SignatureBundle):
-        last = _last_bundle
-        if last is None or last[0] is not body:
-            last = _last_bundle = (
-                body, f"bundle:{body.message.to_hex()}/{body.message.length}"
-                      f":{body.signature.to_hex()}/{body.signature.length}")
-        return last[1]
-    if isinstance(body, KeyBundle):
-        return f"keys:{body.x.to_hex()}:{body.y.to_hex()}"
-    if isinstance(body, SessionKeys):
-        return f"session:{body.xs.to_hex()}:{body.ys.to_hex()}"
-    if isinstance(body, ForwardPacket):
-        body = (body.receiver_id, body.bundle, body.keys, body.sent_at)
-    if isinstance(body, tuple):
-        return ":".join(map(_canon, body))
-    if isinstance(body, list):
-        return ",".join(map(_canon, body))
-    if isinstance(body, VerificationOutcome):
-        return body.value
-    return str(body)
+    last = _last_bundle
+    if last is None or last[0] is not body:
+        last = _last_bundle = (
+            body, f"bundle:{body.message.to_hex()}/{body.message.length}"
+                  f":{body.signature.to_hex()}/{body.signature.length}")
+    return last[1]
+
+
+# body type -> its wire text; any other type is written as str(body)
+_CANON = {
+    SignatureBundle: _canon_bundle,
+    KeyBundle: lambda body: f"keys:{body.x.to_hex()}:{body.y.to_hex()}",
+    SessionKeys: lambda body: f"session:{body.xs.to_hex()}:{body.ys.to_hex()}",
+    ForwardPacket: lambda body: _canon(
+        (body.receiver_id, body.bundle, body.keys, body.sent_at)),
+    tuple: lambda body: ":".join(map(_canon, body)),
+    list: lambda body: ",".join(map(_canon, body)),
+    VerificationOutcome: lambda body: body.value,
+}
+
+
+def _canon(body: object) -> str:
+    return _CANON.get(type(body), str)(body)
 
 
 def _wire(kind: str, body: object) -> str:
@@ -317,11 +325,21 @@ class _RoundRunner:
         self.session: SessionKeys | None = None
         self.closed = False
         self.last_time = 0
+        # the last delivery's (kind, body, digest): a round's broadcasts and
+        # key releases arrive in runs that carry one body object, so each run
+        # is digested once; the body is matched by identity, like _last_bundle
+        self.last_delivery: tuple[str, object, str] | None = None
 
     def _log(self, event: str, sender: str, receiver: str, at: int,
-             text: str) -> None:
+             digest: str) -> None:
         # the leading 0 is the round number the golden transcripts fix
-        self.lines.append(f"0 {event} {sender} {receiver} {at} {_digest(text)}")
+        self.lines.append(f"0 {event} {sender} {receiver} {at} {digest}")
+
+    def _delivery_digest(self, kind: str, body: object) -> str:
+        last = self.last_delivery
+        if last is None or last[1] is not body or last[0] != kind:
+            last = self.last_delivery = (kind, body, _digest(_wire(kind, body)))
+        return last[2]
 
     def _send(self, at: int, sender: str, receiver: str, kind: str,
               body: object) -> None:
@@ -339,12 +357,13 @@ class _RoundRunner:
             self.last_time = max(self.last_time, ev.at)
             if ev.kind is EventKind.DEADLINE_FIRE:
                 # the golden transcripts fix this text: the repr of a bare string
-                self._log("deadline", ev.sender, ev.receiver, ev.at, repr("deadline"))
+                self._log("deadline", ev.sender, ev.receiver, ev.at,
+                          _digest(repr("deadline")))
                 self._on_deadline(ev.at)
                 continue
             kind, body = ev.payload
             self._log("deliver:" + kind, ev.sender, ev.receiver, ev.at,
-                      _wire(kind, body))
+                      self._delivery_digest(kind, body))
             getattr(self, "_on_" + kind.replace("-", "_"))(ev, body)
         self._claims()
         return Transcript(
@@ -390,8 +409,8 @@ class _RoundRunner:
             self.record, list(self.packets.values()), now, fetched)
         for rid in self.top.receiver_ids:
             if self.record.verdicts.get(rid) is VerificationOutcome.TIMED_OUT:
-                self._log("verdict", ARBITRATOR, rid, now,
-                          _wire("verdict", (rid, VerificationOutcome.TIMED_OUT)))
+                self._log("verdict", ARBITRATOR, rid, now, _digest(
+                    _wire("verdict", (rid, VerificationOutcome.TIMED_OUT))))
         for rid in self.top.receiver_ids:
             if rid in self.packets:
                 self._send(now + 1, ARBITRATOR, rid, "key-release", self.session)
@@ -412,7 +431,8 @@ class _RoundRunner:
         else:
             outcome = VerificationOutcome.REJECTED
         self.record.verdicts[rid] = outcome
-        self._log("verdict", ARBITRATOR, rid, ev.at, _wire("verdict", (rid, outcome)))
+        self._log("verdict", ARBITRATOR, rid, ev.at,
+                  _digest(_wire("verdict", (rid, outcome))))
 
     def _claims(self) -> None:
         self.claims: dict[str, bool] = {}
@@ -423,7 +443,7 @@ class _RoundRunner:
                 ok = timeout_forward_verify(self.record, bundle, self.link_keys[rid])
                 self.claims[rid] = ok
                 self._log("timeout-claim", rid, ARBITRATOR, self.last_time + 1,
-                          _wire("claim", (rid, bundle, ok)))
+                          _digest(_wire("claim", (rid, bundle, ok))))
 
 
 def run_round(topology: Topology, security: SecurityParams,

@@ -170,6 +170,13 @@ class TestForgeryKnownSignature:
     def test_bound_evaluation(self):
         assert forgery_known_signature(8, 16, 1, Random(0)).bound == 0.125
 
+    @pytest.mark.parametrize("n, m", [(2, 10**320), (4, 17), (8, 8), (8, 3), (1, 1)])
+    def test_experiment_refuses_m_outside_the_guess_range(self, n, m):
+        # checked before any trial: with no trial run, a bound above 1 used
+        # to reach the float threshold (OverflowError at m = 10^320)
+        with pytest.raises(ValueError, match="2\\^\\(n-1\\)"):
+            forgery_known_signature(n, m, 0, Random(0))
+
 
 class TestExactForgeryRates:
     def test_irreducible_count_matches_enumeration(self):

@@ -287,6 +287,8 @@ MALFORMED = [
      None, ["--receivers", "10000"]),
     (["attack", "--suite", "forgery", "--n", "64", "--m-bits", "4294967296",
       "--trials", "1"], None, ["--m-bits", "134217728"]),
+    # checked before any suite runs: nothing else bounds the loop
+    (["attack", "--trials", "10000001"], None, ["--trials", "10000000"]),
 ]
 
 
@@ -351,6 +353,37 @@ TRIALS_TEXT = st.one_of(st.just("0"), st.integers(-10**40, -1).map(str),
 def attack_argv(draw):
     return ["attack", f"--trials={draw(TRIALS_TEXT)}",
             *(f"{flag}={draw(value)}" for flag, value in ATTACK_FLAGS.items())]
+
+
+def _small_or_refused(limit, top):
+    """Int text at most ``limit``, zero, negative, junk, or above ``top``."""
+    return st.one_of(st.integers(-3, limit).map(str),
+                     st.integers(-10**40, -1).map(str),
+                     st.integers(top + 1, 10**40).map(str),
+                     st.sampled_from(["", " ", "1e3", "0x10", "abc", "٣"]))
+
+
+# sign-round argv values; message size and receiver count are drawn only where
+# a round stays small or the argv is refused before the round, and epsilon
+# only from 1e-30 up (a subnormal epsilon makes n ~ 1084, a 3 s round)
+SIGN_ROUND_FLAGS = {
+    "--message-bytes": st.one_of(
+        _small_or_refused(64, 16 << 20),
+        st.sampled_from(["16385K", "17M", "1G", "2T", "-1K", "0M"])),
+    "--receivers": _small_or_refused(8, 10_000),
+    "--epsilon": st.one_of(
+        st.floats(1e-30, 1).map(repr),
+        st.sampled_from(["0", "1", "-0.5", "1.5", "nan", "inf", "-inf", "", "x"])),
+    "--deadline": INT_TEXT,
+    "--seed": INT_TEXT,
+    "--format": st.sampled_from(["csv", "table", "tsv"]),
+}
+
+
+@st.composite
+def sign_round_argv(draw):
+    return ["sign-round", *(f"{flag}={draw(value)}"
+                            for flag, value in SIGN_ROUND_FLAGS.items())]
 
 
 def assert_contract_code(argv):
@@ -427,6 +460,11 @@ class TestMalformedInput:
     # 2^(n-1) of this n does not fit in memory
     @example(["attack", "--suite=robustness", "--n=1099511627776", "--trials=0"])
     def test_attack_argv_exits_with_a_contract_code(self, argv):
+        assert_contract_code(argv)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sign_round_argv())
+    def test_sign_round_argv_exits_with_a_contract_code(self, argv):
         assert_contract_code(argv)
 
     def test_no_signal_source_exits_4(self, capsys, tmp_path):

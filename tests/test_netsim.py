@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from aqds.config import ConfigurationError
 from aqds.gf2_hash import BitString
-from aqds.keymat import SecurityParams, total_consumption
+from aqds.keymat import KeyBundle, SecurityParams, SessionKeys, total_consumption
 from aqds.netsim import (
     AdversaryScript,
     Event,
@@ -17,10 +17,12 @@ from aqds.netsim import (
     Rule,
     Topology,
     _canon,
+    _digest,
+    _wire,
     load_script,
     run_round,
 )
-from aqds.protocol import SignatureBundle, VerificationOutcome
+from aqds.protocol import ForwardPacket, SignatureBundle, VerificationOutcome
 
 A = VerificationOutcome.ACCEPTED
 SEC3 = SecurityParams.for_n(16, 64, 3)
@@ -72,6 +74,27 @@ class TestEventQueue:
         while q:
             drained.append(q.advance())
         assert drained == reference
+
+
+class TestEventTuples:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 20), st.sampled_from(list(EventKind)),
+                              st.sampled_from("abc")), max_size=30))
+    def test_drained_events_equal_sorted_events(self, spec):
+        # events order as tuples; the unique seq decides before the payload
+        q = EventQueue()
+        events = [q.push(at, kind, sender, "x", object())
+                  for at, kind, sender in spec]
+        drained = []
+        while q:
+            drained.append(q.advance())
+        assert drained == sorted(events)
+        assert drained == sorted(events, key=lambda e: e.sort_key)
+
+    def test_fields_in_order(self):
+        ev = EventQueue().push(3, EventKind.DELIVER, "a", "b", "body")
+        assert ev == Event(3, EventKind.DELIVER, "a", 0, "b", "body")
+        assert ev.sort_key == (3, EventKind.DELIVER, "a", 0)
 
 
 class TestTopology:
@@ -235,6 +258,46 @@ class TestBundleEncoding:
         texts = [_canon(b) for b in (a, a, tampered, a, twin, tampered)]
         assert texts == ["bundle:5a/8:90/4", "bundle:5a/8:90/4", "bundle:da/8:90/4",
                          "bundle:5a/8:90/4", "bundle:5a/8:90/4", "bundle:da/8:90/4"]
+
+
+BUNDLE = SignatureBundle(BitString(0x5A, 8), BitString(0x9, 4))
+KEYS = KeyBundle(BitString(0xC, 4), BitString(0x2, 2))
+
+
+class TestWireText:
+    @pytest.mark.parametrize("body, text", [
+        (BUNDLE, "bundle:5a/8:90/4"),
+        (KEYS, "keys:30:40"),
+        (SessionKeys(BitString(0x3, 4), BitString(0x1, 2)), "session:c0:80"),
+        (ForwardPacket("r1", BUNDLE, KEYS, sent_at=2), "r1:bundle:5a/8:90/4:keys:30:40:2"),
+        (("r1", VerificationOutcome.ACCEPTED), "r1:accepted"),
+        ([("r1", KEYS), ("r2", KeyBundle(BitString(0x1, 4), BitString(0x3, 2)))],
+         "r1:keys:30:40,r2:keys:80:c0"),
+        (("r2", BUNDLE, True), "r2:bundle:5a/8:90/4:True"),
+        (["r1", "r3"], "r1,r3"),
+        (True, "True"),
+        (7, "7"),
+        (None, "None"),
+    ])
+    def test_text_per_body_type(self, body, text):
+        # pinned at the isinstance-chain encoding the golden transcripts fix
+        assert _canon(body) == text
+
+    def test_repeated_delivery_digest_is_per_body(self):
+        # only r2's broadcast is a tampered copy: r3 follows it with the
+        # genuine bundle again, so a reused digest must match the body too
+        script = AdversaryScript((Rule(action="tamper", kind="broadcast",
+                                       receiver="r2", positions=(0,)),))
+        sec = SecurityParams.for_n(12, 48, 4)
+        t = run_round(Topology.fully_connected(4), sec, script, seed=12)
+        genuine = t.record.message, t.record.signature
+        broadcasts = {line.split()[3]: line.split()[5] for line in t.lines
+                      if line.split()[1] == "deliver:broadcast"}
+        want = _digest(_wire("broadcast", SignatureBundle(*genuine)))
+        tampered = _digest(_wire("broadcast", SignatureBundle(
+            genuine[0].flip(0), genuine[1])))
+        assert want != tampered
+        assert broadcasts == {"r1": want, "r2": tampered, "r3": want, "r4": want}
 
 
 class TestAuthenticatedChannels:
