@@ -145,8 +145,8 @@ _CANON = {
     SignatureBundle: _canon_bundle,
     KeyBundle: lambda body: f"keys:{body.x.to_hex()}:{body.y.to_hex()}",
     SessionKeys: lambda body: f"session:{body.xs.to_hex()}:{body.ys.to_hex()}",
-    ForwardPacket: lambda body: _canon(
-        (body.receiver_id, body.bundle, body.keys, body.sent_at)),
+    ForwardPacket: lambda b: f"{b.receiver_id}:{_canon_bundle(b.bundle)}:keys:"
+                             f"{b.keys.x.to_hex()}:{b.keys.y.to_hex()}:{b.sent_at}",
     tuple: lambda body: ":".join(map(_canon, body)),
     list: lambda body: ",".join(map(_canon, body)),
     VerificationOutcome: lambda body: body.value,
@@ -204,11 +204,6 @@ class Rule:
         if self.action == "replace" and not self.payload_hex:
             raise ConfigurationError("replace rule needs payload-hex")
 
-    def matches(self, kind: str, sender: str, receiver: str) -> bool:
-        return ((self.kind is None or self.kind == kind)
-                and (self.sender is None or self.sender == sender)
-                and (self.receiver is None or self.receiver == receiver))
-
 
 @dataclass(frozen=True)
 class AdversaryScript:
@@ -234,7 +229,9 @@ class AdversaryScript:
         """Rewritten bundle (None = dropped) and extra delay after all rules."""
         extra = 0
         for rule in self.rules:
-            if not rule.matches(kind, sender, receiver):
+            if ((rule.kind is not None and rule.kind != kind)
+                    or (rule.sender is not None and rule.sender != sender)
+                    or (rule.receiver is not None and rule.receiver != receiver)):
                 continue
             if rule.action == "drop":
                 return None, extra
@@ -354,7 +351,7 @@ class _RoundRunner:
                         ARBITRATOR, ARBITRATOR, None)
         while self.queue:
             ev = self.queue.advance()
-            self.last_time = max(self.last_time, ev.at)
+            self.last_time = ev.at  # the heap pops events in time order
             if ev.kind is EventKind.DEADLINE_FIRE:
                 # the golden transcripts fix this text: the repr of a bare string
                 self._log("deadline", ev.sender, ev.receiver, ev.at,
@@ -362,9 +359,10 @@ class _RoundRunner:
                 self._on_deadline(ev.at)
                 continue
             kind, body = ev.payload
-            self._log("deliver:" + kind, ev.sender, ev.receiver, ev.at,
+            event, handler = _DISPATCH[kind]
+            self._log(event, ev.sender, ev.receiver, ev.at,
                       self._delivery_digest(kind, body))
-            getattr(self, "_on_" + kind.replace("-", "_"))(ev, body)
+            handler(self, ev, body)
         self._claims()
         return Transcript(
             security=self.sec,
@@ -440,10 +438,17 @@ class _RoundRunner:
             if (self.record.verdicts.get(rid) is VerificationOutcome.TIMED_OUT
                     and rid in self.receiver_copy):
                 bundle = self.receiver_copy[rid]
-                ok = timeout_forward_verify(self.record, bundle, self.link_keys[rid])
+                ok = timeout_forward_verify(self.record, rid, bundle, self.link_keys[rid])
                 self.claims[rid] = ok
                 self._log("timeout-claim", rid, ARBITRATOR, self.last_time + 1,
                           _digest(_wire("claim", (rid, bundle, ok))))
+
+
+# delivery kind -> (transcript event name, handler), resolved once
+_DISPATCH = {kind: ("deliver:" + kind,
+                    getattr(_RoundRunner, "_on_" + kind.replace("-", "_")))
+             for kind in ("broadcast", "forward", "key-request", "key-response",
+                          "key-release", "announce")}
 
 
 def run_round(topology: Topology, security: SecurityParams,

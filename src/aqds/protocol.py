@@ -83,8 +83,7 @@ def _tag(poly: Gf2Poly, seed: int, message: BitString) -> int:
     """
     global _last_tag
     last = _last_tag
-    if (last is not None and last[0] is message and last[1] == poly.value
-            and last[2] == seed):
+    if last and last[0] is message and last[1:3] == (poly.value, seed):
         return last[3]
     tag = LfsrToeplitzHasher(poly, BitString(seed, poly.degree)).hash(message).value
     _last_tag = (message, poly.value, seed, tag)
@@ -109,10 +108,14 @@ def accepts(message: BitString, signature: int, xs: int, ys: int, n: int) -> boo
 
     Strips the pad xs, decodes the upper n bits as the polynomial (a
     reducible decode rejects) and compares the lower n bits with the tag
-    of ``message`` under (polynomial, ys).  Keys and signature are plain
-    integers, so attack trials can call it without building key objects.
+    of ``message`` under (polynomial, ys).  A tag memo hit on all three skips
+    the decode, exactly: only ``_tag`` writes the memo, after the hasher has
+    accepted the polynomial.  Int arguments let attack trials skip key objects.
     """
     plain = xs ^ signature
+    if (_last_tag and _last_tag[0] is message and not plain >> 2 * n
+            and _last_tag[1:3] == (plain >> n | 1 << n, ys)):
+        return _last_tag[3] == plain & ((1 << n) - 1)
     poly = decode_poly(BitString(plain >> n, n))
     return poly is not None and _tag(poly, ys, message) == plain & ((1 << n) - 1)
 
@@ -200,15 +203,13 @@ def arbitrator_close_round(
     return combine(ordered, record.arbitrator_keys)
 
 
-def timeout_forward_verify(record: RoundRecord, bundle: SignatureBundle,
-                           keys: KeyBundle) -> bool:
-    """Check a post-round claim against the archived round.
+def timeout_forward_verify(record: RoundRecord, receiver_id: str,
+                           bundle: SignatureBundle, keys: KeyBundle) -> bool:
+    """Check receiver ``receiver_id``'s post-round claim against the archive.
 
-    True iff the claimed pair bit-equals the archived (message, signature)
-    and the claimed key belongs to the round's key set.
+    True iff a (message, signature) is archived and the claimed pair bit-equals
+    it, and the claimed key is the one the arbitrator holds for that receiver.
     """
-    if record.message is None or record.signature is None:
-        return False
     return (bundle.message == record.message
             and bundle.signature == record.signature
-            and any(keys == held for held in record.key_set.values()))
+            and record.key_set.get(receiver_id) == keys)

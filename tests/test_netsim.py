@@ -359,6 +359,89 @@ class TestScriptValidation:
         assert t.outcomes["r1"] is VerificationOutcome.REJECTED
 
 
+class TestApplyRuleTable:
+    def test_wildcards_links_delay_order_and_drop(self):
+        bundle = SignatureBundle(BitString(0x5A, 8), BitString(0x9, 4))
+        script = AdversaryScript((
+            Rule(action="delay", delta=1),  # every field a wildcard
+            Rule(action="delay", kind="forward", delta=2),
+            Rule(action="delay", kind="forward", sender="r1", delta=4),
+            Rule(action="tamper", kind="broadcast", receiver="r2", positions=(0,)),
+            Rule(action="drop", sender="r3"),
+            Rule(action="delay", kind="forward", sender="r3", delta=8)))
+        table = {
+            ("broadcast", "signer", "r1"): (bundle, 1),
+            ("broadcast", "signer", "r2"): (
+                SignatureBundle(bundle.message.flip(0), bundle.signature), 1),
+            ("broadcast", "signer", "r3"): (bundle, 1),
+            ("forward", "r1", "arbitrator"): (bundle, 1 + 2 + 4),
+            ("forward", "r2", "arbitrator"): (bundle, 1 + 2),
+            # a drop returns the delay the rules before it added
+            ("forward", "r3", "arbitrator"): (None, 1 + 2),
+        }
+        for (kind, sender, receiver), want in table.items():
+            assert script.apply(kind, sender, receiver, bundle) == want
+
+
+# one receiver's fate in stage 3: (broadcast, forward); a dropped broadcast
+# leaves nothing to forward
+FATES = [(b, f) for b in ("genuine", "tampered")
+         for f in ("on-time", "late", "dropped", "tampered")] + [("dropped", None)]
+
+
+def fate_rules(rid, fate):
+    # tampering flips tag bits of the signature (bit 1 on the broadcast,
+    # bit 0 on the forward), so a tampered copy is rejected with certainty
+    broadcast, forward = fate
+    rules = {
+        "dropped": [Rule(action="drop", kind="broadcast", receiver=rid)],
+        "tampered": [Rule(action="tamper", kind="broadcast", receiver=rid,
+                          target="signature", positions=(1,))],
+    }.get(broadcast, [])
+    rules += {
+        "late": [Rule(action="delay", kind="forward", sender=rid, delta=20)],
+        "dropped": [Rule(action="drop", kind="forward", sender=rid)],
+        "tampered": [Rule(action="tamper", kind="forward", sender=rid,
+                          target="signature", positions=(0,))],
+    }.get(forward, [])
+    return rules
+
+
+def fates_of(case):
+    return dict(zip(("r1", "r2", "r3"),
+                    (FATES[case // 81], FATES[case // 9 % 9], FATES[case % 9])))
+
+
+class TestStageThreeFates:
+    # the case number is also the round's seed
+    @pytest.mark.parametrize("case", range(len(FATES) ** 3), ids=lambda case: ",".join(
+        f"{b}/{f or '-'}" for b, f in fates_of(case).values()))
+    def test_every_fate_combination(self, case):
+        fates = fates_of(case)
+        rules = [rule for rid, fate in fates.items() for rule in fate_rules(rid, fate)]
+        t = run_round(Topology.fully_connected(3), SEC3,
+                      AdversaryScript(tuple(rules)), seed=case)
+        # repudiated: a receiver announced ACCEPTED, the arbitrator confirmed none
+        repudiated = (A in t.announcements.values()
+                      and A not in t.outcomes.values())
+        # only a tampered forward repudiates, and it does exactly when it is a
+        # genuine holder's and no genuine holder's forward arrived on time
+        assert not repudiated or any(f == "tampered" for _, f in fates.values())
+        assert repudiated == (("genuine", "tampered") in fates.values()
+                              and ("genuine", "on-time") not in fates.values())
+        confirmed = ("genuine", "on-time") in fates.values()
+        assert (t.record.message is not None) == confirmed
+        for rid, (broadcast, forward) in fates.items():
+            if broadcast == "genuine" and forward in ("late", "dropped"):
+                assert t.timeout_claims[rid] is confirmed
+            # no ACCEPTED verdict and no accepted claim on a non-genuine copy
+            if broadcast != "genuine":
+                assert t.announcements.get(rid) is not A
+                assert t.timeout_claims.get(rid) is not True
+            if broadcast != "genuine" or forward == "tampered":
+                assert t.outcomes[rid] is not A
+
+
 class TestConfigLoading:
     def test_script_roundtrip(self, tmp_path):
         cfg = tmp_path / "script.ini"

@@ -208,23 +208,29 @@ class TestTimeoutForwardVerify:
 
     def test_genuine_replay_with_genuine_key(self):
         record, bundle, keymap = self.closed_record()
-        assert timeout_forward_verify(record, bundle, keymap["r2"]) is True
+        assert timeout_forward_verify(record, "r2", bundle, keymap["r2"]) is True
 
     def test_fabricated_key_rejected(self):
         record, bundle, _ = self.closed_record()
         fake = KeyBundle(BitString.random(16, Random(99)),
                          BitString.random(8, Random(98)))
-        assert timeout_forward_verify(record, bundle, fake) is False
+        assert timeout_forward_verify(record, "r1", bundle, fake) is False
 
     def test_modified_message_rejected(self):
         record, bundle, keymap = self.closed_record()
         tampered = SignatureBundle(bundle.message.flip(0), bundle.signature)
-        assert timeout_forward_verify(record, tampered, keymap["r1"]) is False
+        assert timeout_forward_verify(record, "r1", tampered, keymap["r1"]) is False
 
     def test_no_archived_signature_rejects(self):
         _, bundle, record, packets, keymap = TestCloseRound().setup_round()
         arbitrator_close_round(record, packets, now=10, fetched=keymap)
-        assert timeout_forward_verify(record, bundle, keymap["r1"]) is False
+        assert timeout_forward_verify(record, "r1", bundle, keymap["r1"]) is False
+
+    def test_another_receivers_key_rejected(self):
+        # r2's key belongs to the round, but not to the claimant r1
+        record, bundle, keymap = self.closed_record()
+        assert keymap["r1"] != keymap["r2"]
+        assert timeout_forward_verify(record, "r1", bundle, keymap["r2"]) is False
 
 
 def signed_tag(bundle, sk):
@@ -312,6 +318,32 @@ class TestTagMemo:
         sign(BitString.random(64, rng), sk, rng)
         gc.collect()
         assert first() is None
+
+
+class TestVerifyOffTheMemo:
+    def test_every_signature_bit_flip_matches_fresh_verdict(self, monkeypatch):
+        _, _, _, sk, bundle = honest_setup(n=16)
+        decodes = []
+        monkeypatch.setattr(protocol, "decode_poly",
+                            lambda r: decodes.append(r) or decode_poly(r))
+        for bit in range(2 * sk.n):
+            assert receiver_verify(bundle, sk) is A  # the memo holds the bundle
+            forged = SignatureBundle(bundle.message, bundle.signature.flip(bit))
+            decodes.clear()
+            verdict = receiver_verify(forged, sk)
+            # bits 0..n-1 carry the tag and hit the memo; the rest carry the
+            # polynomial, miss it and decode
+            assert len(decodes) == (bit >= sk.n)
+            assert verdict is fresh_verdict(forged, sk)
+            if bit < sk.n:
+                assert verdict is R
+
+    def test_signature_wider_than_2n_bits_raises_on_a_memo_hit_too(self):
+        _, _, _, sk, bundle = honest_setup(n=16)
+        assert receiver_verify(bundle, sk) is A  # the memo holds the bundle
+        wide = bundle.signature.value | 1 << 2 * sk.n
+        with pytest.raises(ValueError):
+            protocol.accepts(bundle.message, wide, sk.xs.value, sk.ys.value, sk.n)
 
 
 class TestIntCoreExhaustive:
