@@ -203,6 +203,11 @@ def cmd_sign_round(args) -> int:
     # both outputs are checked before the round, so exit 4 leaves nothing written
     _check_writable(args.output)
     _check_writable(args.transcript)
+    if args.output and args.transcript and (
+            _resolve_output(args.output).resolve()
+            == _resolve_output(args.transcript).resolve()):
+        raise ConfigurationError(
+            f"bad --transcript: {_resolve_output(args.transcript)} is also --output")
     try:
         transcript = netsim.run_round(topology, security, script, seed=args.seed)
     except ConfigurationError as exc:  # a rule that does not fit the round's sizes

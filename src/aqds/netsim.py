@@ -122,44 +122,16 @@ class EventQueue:
 
 
 # ---------------------------------------------------------------------------
-# Wire payloads: every delivery carries a (kind, body) pair
+# Transcript texts: each line kind has one text, which its sender digests
 
 
-# the last bundle encoded and its text: a round's broadcasts, forwards and
-# claims carry one bundle object, so it is encoded once per round
-_last_bundle: tuple[SignatureBundle, str] | None = None
+def _bundle_text(bundle: SignatureBundle) -> str:
+    return (f"bundle:{bundle.message.to_hex()}/{bundle.message.length}"
+            f":{bundle.signature.to_hex()}/{bundle.signature.length}")
 
 
-def _canon_bundle(body: SignatureBundle) -> str:
-    global _last_bundle
-    last = _last_bundle
-    if last is None or last[0] is not body:
-        last = _last_bundle = (
-            body, f"bundle:{body.message.to_hex()}/{body.message.length}"
-                  f":{body.signature.to_hex()}/{body.signature.length}")
-    return last[1]
-
-
-# body type -> its wire text; any other type is written as str(body)
-_CANON = {
-    SignatureBundle: _canon_bundle,
-    KeyBundle: lambda body: f"keys:{body.x.to_hex()}:{body.y.to_hex()}",
-    SessionKeys: lambda body: f"session:{body.xs.to_hex()}:{body.ys.to_hex()}",
-    ForwardPacket: lambda b: f"{b.receiver_id}:{_canon_bundle(b.bundle)}:keys:"
-                             f"{b.keys.x.to_hex()}:{b.keys.y.to_hex()}:{b.sent_at}",
-    tuple: lambda body: ":".join(map(_canon, body)),
-    list: lambda body: ",".join(map(_canon, body)),
-    VerificationOutcome: lambda body: body.value,
-}
-
-
-def _canon(body: object) -> str:
-    return _CANON.get(type(body), str)(body)
-
-
-def _wire(kind: str, body: object) -> str:
-    """The text a transcript line digests for one (kind, body) pair."""
-    return f"{kind}[{_canon(body)}]"
+def _keys_text(keys: KeyBundle) -> str:
+    return f"keys:{keys.x.to_hex()}:{keys.y.to_hex()}"
 
 
 def _digest(text: str) -> str:
@@ -311,6 +283,7 @@ class _RoundRunner:
         self.signer_sk = combine(bundles, self.arb_bundle)
         message = BitString.random(security.m_bits, self.rng)
         self.bundle = sign(message, self.signer_sk, self.rng)
+        self.bundle_text = _bundle_text(self.bundle)
 
         self.record = RoundRecord.open(topology.receiver_ids, topology.deadline,
                                        self.arb_bundle)
@@ -321,49 +294,45 @@ class _RoundRunner:
         self.announcements: dict[str, VerificationOutcome] = {}
         self.session: SessionKeys | None = None
         self.closed = False
-        self.last_time = 0
-        # the last delivery's (kind, body, digest): a round's broadcasts and
-        # key releases arrive in runs that carry one body object, so each run
-        # is digested once; the body is matched by identity, like _last_bundle
-        self.last_delivery: tuple[str, object, str] | None = None
 
     def _log(self, event: str, sender: str, receiver: str, at: int,
              digest: str) -> None:
         # the leading 0 is the round number the golden transcripts fix
         self.lines.append(f"0 {event} {sender} {receiver} {at} {digest}")
 
-    def _delivery_digest(self, kind: str, body: object) -> str:
-        last = self.last_delivery
-        if last is None or last[1] is not body or last[0] != kind:
-            last = self.last_delivery = (kind, body, _digest(_wire(kind, body)))
-        return last[2]
-
     def _send(self, at: int, sender: str, receiver: str, kind: str,
-              body: object) -> None:
-        self.queue.push(at, EventKind.DELIVER, sender, receiver, (kind, body))
+              body: object, digest: str) -> None:
+        self.queue.push(at, EventKind.DELIVER, sender, receiver, (kind, body, digest))
+
+    def _text(self, bundle: SignatureBundle) -> str:
+        # a tampered copy is another object and gets its own text
+        return self.bundle_text if bundle is self.bundle else _bundle_text(bundle)
 
     def run(self) -> Transcript:
+        genuine = _digest(f"broadcast[{self.bundle_text}]")
         for rid in self.top.receiver_ids:
             out, extra = self.script.apply("broadcast", SIGNER, rid, self.bundle)
             if out is not None:
-                self._send(1 + extra, SIGNER, rid, "broadcast", out)
+                digest = genuine if out is self.bundle else _digest(
+                    f"broadcast[{_bundle_text(out)}]")
+                self._send(1 + extra, SIGNER, rid, "broadcast", out, digest)
         self.queue.push(self.top.deadline, EventKind.DEADLINE_FIRE,
                         ARBITRATOR, ARBITRATOR, None)
         while self.queue:
             ev = self.queue.advance()
-            self.last_time = ev.at  # the heap pops events in time order
             if ev.kind is EventKind.DEADLINE_FIRE:
                 # the golden transcripts fix this text: the repr of a bare string
                 self._log("deadline", ev.sender, ev.receiver, ev.at,
                           _digest(repr("deadline")))
                 self._on_deadline(ev.at)
                 continue
-            kind, body = ev.payload
+            kind, body, digest = ev.payload
             event, handler = _DISPATCH[kind]
-            self._log(event, ev.sender, ev.receiver, ev.at,
-                      self._delivery_digest(kind, body))
+            self._log(event, ev.sender, ev.receiver, ev.at, digest)
             handler(self, ev, body)
-        self._claims()
+        # the deadline is always queued, and the heap pops events in time
+        # order, so the claims come one unit after the last event
+        self._claims(ev.at + 1)
         return Transcript(
             security=self.sec,
             lines=self.lines,
@@ -380,8 +349,10 @@ class _RoundRunner:
         self.receiver_copy[rid] = bundle
         out, extra = self.script.apply("forward", rid, ARBITRATOR, bundle)
         if out is not None:
+            keys = self.link_keys[rid]
+            text = f"forward[{rid}:{self._text(out)}:{_keys_text(keys)}:{ev.at}]"
             self._send(ev.at + 1 + extra, rid, ARBITRATOR, "forward",
-                       ForwardPacket(rid, out, self.link_keys[rid], sent_at=ev.at))
+                       ForwardPacket(rid, out, keys, sent_at=ev.at), _digest(text))
 
     def _on_forward(self, ev: Event, packet: ForwardPacket) -> None:
         if not self.closed and packet.receiver_id not in self.packets:
@@ -391,37 +362,43 @@ class _RoundRunner:
         self.closed = True
         timeouts = [r for r in self.top.receiver_ids if r not in self.packets]
         if timeouts:
-            self._send(now + 1, ARBITRATOR, SIGNER, "key-request", timeouts)
+            self._send(now + 1, ARBITRATOR, SIGNER, "key-request", timeouts,
+                       _digest(f"key-request[{','.join(timeouts)}]"))
         else:
             self._finish_close(now, {})
 
     def _on_key_request(self, ev: Event, timeouts: list[str]) -> None:
-        self._send(ev.at + 1, SIGNER, ARBITRATOR, "key-response",
-                   [(r, self.link_keys[r]) for r in timeouts])
+        keys = {r: self.link_keys[r] for r in timeouts}
+        text = ",".join(f"{r}:{_keys_text(k)}" for r, k in keys.items())
+        self._send(ev.at + 1, SIGNER, ARBITRATOR, "key-response", keys,
+                   _digest(f"key-response[{text}]"))
 
-    def _on_key_response(self, ev: Event, keys: list[tuple[str, KeyBundle]]) -> None:
-        self._finish_close(ev.at, dict(keys))
+    def _on_key_response(self, ev: Event, keys: dict[str, KeyBundle]) -> None:
+        self._finish_close(ev.at, keys)
 
     def _finish_close(self, now: int, fetched: Mapping[str, KeyBundle]) -> None:
-        self.session = arbitrator_close_round(
+        session = self.session = arbitrator_close_round(
             self.record, list(self.packets.values()), now, fetched)
         for rid in self.top.receiver_ids:
             if self.record.verdicts.get(rid) is VerificationOutcome.TIMED_OUT:
-                self._log("verdict", ARBITRATOR, rid, now, _digest(
-                    _wire("verdict", (rid, VerificationOutcome.TIMED_OUT))))
-        for rid in self.top.receiver_ids:
-            if rid in self.packets:
-                self._send(now + 1, ARBITRATOR, rid, "key-release", self.session)
+                self._log("verdict", ARBITRATOR, rid, now,
+                          _digest(f"verdict[{rid}:timed-out]"))
+        if self.packets:
+            digest = _digest(
+                f"key-release[session:{session.xs.to_hex()}:{session.ys.to_hex()}]")
+            for rid in self.top.receiver_ids:
+                if rid in self.packets:
+                    self._send(now + 1, ARBITRATOR, rid, "key-release", session, digest)
 
     def _on_key_release(self, ev: Event, session: SessionKeys) -> None:
         rid = ev.receiver
         verdict = receiver_verify(self.receiver_copy[rid], session)
         self.announcements[rid] = verdict
-        self._send(ev.at + 1, rid, ARBITRATOR, "announce", (rid, verdict))
+        self._send(ev.at + 1, rid, ARBITRATOR, "announce", verdict,
+                   _digest(f"announce[{rid}:{verdict.value}]"))
 
-    def _on_announce(self, ev: Event,
-                     announcement: tuple[str, VerificationOutcome]) -> None:
-        rid, verdict = announcement
+    def _on_announce(self, ev: Event, verdict: VerificationOutcome) -> None:
+        rid = ev.sender
         if verdict is VerificationOutcome.ACCEPTED:
             outcome = arbitrator_verify(self.packets[rid], self.session)
             if outcome is VerificationOutcome.ACCEPTED:
@@ -430,9 +407,9 @@ class _RoundRunner:
             outcome = VerificationOutcome.REJECTED
         self.record.verdicts[rid] = outcome
         self._log("verdict", ARBITRATOR, rid, ev.at,
-                  _digest(_wire("verdict", (rid, outcome))))
+                  _digest(f"verdict[{rid}:{outcome.value}]"))
 
-    def _claims(self) -> None:
+    def _claims(self, at: int) -> None:
         self.claims: dict[str, bool] = {}
         for rid in self.top.receiver_ids:
             if (self.record.verdicts.get(rid) is VerificationOutcome.TIMED_OUT
@@ -440,8 +417,8 @@ class _RoundRunner:
                 bundle = self.receiver_copy[rid]
                 ok = timeout_forward_verify(self.record, rid, bundle, self.link_keys[rid])
                 self.claims[rid] = ok
-                self._log("timeout-claim", rid, ARBITRATOR, self.last_time + 1,
-                          _digest(_wire("claim", (rid, bundle, ok))))
+                self._log("timeout-claim", rid, ARBITRATOR, at,
+                          _digest(f"claim[{rid}:{self._text(bundle)}:{ok}]"))
 
 
 # delivery kind -> (transcript event name, handler), resolved once

@@ -235,6 +235,19 @@ class TestOutputHandling:
         assert out == ""
         assert (tmp_path / "sweep.csv").exists()
 
+    def test_transcript_and_output_resolve_to_one_file(self, capsys, tmp_path,
+                                                       monkeypatch):
+        # AQDS_OUTPUT_DIR puts the relative --output where --transcript points
+        monkeypatch.setenv("AQDS_OUTPUT_DIR", str(tmp_path))
+        code = main(["sign-round", "--output", "round.txt",
+                     "--transcript", str(tmp_path / "sub" / ".." / "round.txt")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("aqds: bad --transcript: ")
+        assert list(tmp_path.iterdir()) == []
+        assert main(["sign-round", "--output", "round.csv",
+                     "--transcript", "round.txt"]) == EXIT_OK
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["round.csv", "round.txt"]
+
     def test_unknown_flag_usage_exit(self):
         with pytest.raises(SystemExit) as exc:
             main(["consumption", "--frobnicate"])
@@ -289,6 +302,9 @@ MALFORMED = [
       "--trials", "1"], None, ["--m-bits", "134217728"]),
     # checked before any suite runs: nothing else bounds the loop
     (["attack", "--trials", "10000001"], None, ["--trials", "10000000"]),
+    # the transcript would overwrite the result table
+    (["sign-round", "--output", "{cfg}", "--transcript", "{cfg}"], None,
+     ["bad --transcript", "--output"]),
 ]
 
 

@@ -1,5 +1,6 @@
 """Event ordering, round simulation, adversary scripts, config loading."""
 
+import hashlib
 from random import Random
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from aqds.config import ConfigurationError
 from aqds.gf2_hash import BitString
-from aqds.keymat import KeyBundle, SecurityParams, SessionKeys, total_consumption
+from aqds.keymat import SecurityParams, total_consumption
 from aqds.netsim import (
     AdversaryScript,
     Event,
@@ -16,13 +17,12 @@ from aqds.netsim import (
     EventQueue,
     Rule,
     Topology,
-    _canon,
+    _bundle_text,
     _digest,
-    _wire,
     load_script,
     run_round,
 )
-from aqds.protocol import ForwardPacket, SignatureBundle, VerificationOutcome
+from aqds.protocol import SignatureBundle, VerificationOutcome
 
 A = VerificationOutcome.ACCEPTED
 SEC3 = SecurityParams.for_n(16, 64, 3)
@@ -251,37 +251,50 @@ class TestGoldenTranscript:
 
 class TestBundleEncoding:
     def test_each_bundle_object_gets_its_own_text(self):
-        # the encoding is reused only for the very object last encoded
+        # the text comes from the bundle's own bits, whatever was encoded before
         a = SignatureBundle(BitString(0x5A, 8), BitString(0x9, 4))
         tampered = SignatureBundle(a.message.flip(0), a.signature)
         twin = SignatureBundle(a.message, a.signature)
-        texts = [_canon(b) for b in (a, a, tampered, a, twin, tampered)]
+        texts = [_bundle_text(b) for b in (a, a, tampered, a, twin, tampered)]
         assert texts == ["bundle:5a/8:90/4", "bundle:5a/8:90/4", "bundle:da/8:90/4",
                          "bundle:5a/8:90/4", "bundle:5a/8:90/4", "bundle:da/8:90/4"]
 
 
-BUNDLE = SignatureBundle(BitString(0x5A, 8), BitString(0x9, 4))
-KEYS = KeyBundle(BitString(0xC, 4), BitString(0x2, 2))
+def text_round():
+    # k = 4 at n = 8, m = 32: r2 and r4 get tampered broadcasts, r3 and r4
+    # forward late, so every line kind and every verdict shows up once
+    script = AdversaryScript((
+        Rule(action="tamper", kind="broadcast", receiver="r2", target="signature",
+             positions=(1,)),
+        Rule(action="tamper", kind="broadcast", receiver="r4", target="signature",
+             positions=(1,)),
+        Rule(action="delay", kind="forward", sender="r3", delta=20),
+        Rule(action="delay", kind="forward", sender="r4", delta=20)))
+    sec = SecurityParams.for_n(8, 32, 4)
+    return run_round(Topology.fully_connected(4), sec, script, seed=5)
 
 
 class TestWireText:
-    @pytest.mark.parametrize("body, text", [
-        (BUNDLE, "bundle:5a/8:90/4"),
-        (KEYS, "keys:30:40"),
-        (SessionKeys(BitString(0x3, 4), BitString(0x1, 2)), "session:c0:80"),
-        (ForwardPacket("r1", BUNDLE, KEYS, sent_at=2), "r1:bundle:5a/8:90/4:keys:30:40:2"),
-        (("r1", VerificationOutcome.ACCEPTED), "r1:accepted"),
-        ([("r1", KEYS), ("r2", KeyBundle(BitString(0x1, 4), BitString(0x3, 2)))],
-         "r1:keys:30:40,r2:keys:80:c0"),
-        (("r2", BUNDLE, True), "r2:bundle:5a/8:90/4:True"),
-        (["r1", "r3"], "r1,r3"),
-        (True, "True"),
-        (7, "7"),
-        (None, "None"),
+    # each line's digest is the digest of one text per line kind, pinned at
+    # the texts the golden transcripts fix
+    @pytest.mark.parametrize("line, text", [
+        ("deliver:broadcast signer r1 1", "broadcast[bundle:05beb837/32:c844/16]"),
+        ("deliver:forward r2 arbitrator 2",
+         "forward[r2:bundle:05beb837/32:8844/16:keys:a7bd:da:1]"),
+        ("deadline arbitrator arbitrator 10", "'deadline'"),
+        ("deliver:key-request arbitrator signer 11", "key-request[r3,r4]"),
+        ("deliver:key-response signer arbitrator 12",
+         "key-response[r3:keys:89d3:0d,r4:keys:228f:eb]"),
+        ("verdict arbitrator r3 12", "verdict[r3:timed-out]"),
+        ("deliver:key-release arbitrator r1 13", "key-release[session:f4a5:db]"),
+        ("deliver:announce r2 arbitrator 14", "announce[r2:rejected]"),
+        ("verdict arbitrator r1 14", "verdict[r1:accepted]"),
+        ("timeout-claim r3 arbitrator 23", "claim[r3:bundle:05beb837/32:c844/16:True]"),
+        ("timeout-claim r4 arbitrator 23", "claim[r4:bundle:05beb837/32:8844/16:False]"),
     ])
-    def test_text_per_body_type(self, body, text):
-        # pinned at the isinstance-chain encoding the golden transcripts fix
-        assert _canon(body) == text
+    def test_text_per_line_kind(self, line, text):
+        digests = {entry[2:-17]: entry[-16:] for entry in text_round().lines}
+        assert digests[line] == _digest(text)
 
     def test_repeated_delivery_digest_is_per_body(self):
         # only r2's broadcast is a tampered copy: r3 follows it with the
@@ -293,9 +306,9 @@ class TestWireText:
         genuine = t.record.message, t.record.signature
         broadcasts = {line.split()[3]: line.split()[5] for line in t.lines
                       if line.split()[1] == "deliver:broadcast"}
-        want = _digest(_wire("broadcast", SignatureBundle(*genuine)))
-        tampered = _digest(_wire("broadcast", SignatureBundle(
-            genuine[0].flip(0), genuine[1])))
+        copy = SignatureBundle(genuine[0].flip(0), genuine[1])
+        want = _digest(f"broadcast[{_bundle_text(SignatureBundle(*genuine))}]")
+        tampered = _digest(f"broadcast[{_bundle_text(copy)}]")
         assert want != tampered
         assert broadcasts == {"r1": want, "r2": tampered, "r3": want, "r4": want}
 
@@ -440,6 +453,19 @@ class TestStageThreeFates:
                 assert t.timeout_claims.get(rid) is not True
             if broadcast != "genuine" or forward == "tampered":
                 assert t.outcomes[rid] is not A
+
+    def test_every_fate_transcript_is_frozen(self):
+        # pins line texts no golden file covers: tampered broadcasts, an
+        # announced REJECTED and false timeout claims
+        digest = hashlib.sha256()
+        for case in range(len(FATES) ** 3):
+            rules = [rule for rid, fate in fates_of(case).items()
+                     for rule in fate_rules(rid, fate)]
+            t = run_round(Topology.fully_connected(3), SEC3,
+                          AdversaryScript(tuple(rules)), seed=case)
+            digest.update(t.render().encode())
+        assert digest.hexdigest() == (
+            "48593d36ac5acf5734514da1f0a7b1069046532d449ef30480561790d421a72c")
 
 
 class TestConfigLoading:
