@@ -13,8 +13,6 @@ from .gf2_hash import (
     Gf2Poly,
     LfsrToeplitzHasher,
     decode_poly,
-    encode_poly,
-    lfsr_stream,
     poly_is_irreducible,
     sample_irreducible,
     toeplitz_oracle,
@@ -34,19 +32,18 @@ from .protocol import (
     SignatureBundle,
     VerificationOutcome,
     arbitrator_close_round,
-    arbitrator_verify,
     receiver_verify,
     sign,
     timeout_forward_verify,
 )
 
 __all__ = [
-    "BitString", "Gf2Poly", "LfsrToeplitzHasher", "decode_poly", "encode_poly",
-    "lfsr_stream", "poly_is_irreducible", "sample_irreducible", "toeplitz_oracle",
+    "BitString", "Gf2Poly", "LfsrToeplitzHasher", "decode_poly",
+    "poly_is_irreducible", "sample_irreducible", "toeplitz_oracle",
     "KeyBundle", "SecurityParams", "SessionKeys", "combine", "distribute_keys",
     "required_n", "total_consumption",
     "ForwardPacket", "RoundRecord", "SignatureBundle", "VerificationOutcome",
-    "arbitrator_close_round", "arbitrator_verify", "receiver_verify", "sign",
+    "arbitrator_close_round", "receiver_verify", "sign",
     "timeout_forward_verify",
 ]
 

@@ -40,10 +40,6 @@ class BitString:
             raise ValueError(f"value does not fit in {self.length} bits")
 
     @classmethod
-    def zeros(cls, length: int) -> BitString:
-        return cls(0, length)
-
-    @classmethod
     def from_bits(cls, bits) -> BitString:
         bits = list(bits)
         value = 0
@@ -78,13 +74,7 @@ class BitString:
     def __iter__(self) -> Iterator[int]:
         return ((self.value >> j) & 1 for j in range(self.length))
 
-    def __getitem__(self, j):
-        if isinstance(j, slice):
-            start, stop, step = j.indices(self.length)
-            if step != 1:
-                raise ValueError("only unit-step slices are supported")
-            width = max(0, stop - start)
-            return BitString((self.value >> start) & ((1 << width) - 1), width)
+    def __getitem__(self, j: int) -> int:
         if not 0 <= j < self.length:
             raise IndexError("bit index out of range")
         return (self.value >> j) & 1
@@ -94,15 +84,12 @@ class BitString:
             raise ValueError("XOR requires equal lengths")
         return BitString(self.value ^ other.value, self.length)
 
-    def concat(self, other: BitString) -> BitString:
-        return BitString(self.value | other.value << self.length,
-                         self.length + other.length)
-
     def split(self, n: int) -> tuple[BitString, BitString]:
         """First n bits and the remainder."""
         if not 0 <= n <= self.length:
             raise ValueError("split point out of range")
-        return self[:n], self[n:]
+        return (BitString(self.value & ((1 << n) - 1), n),
+                BitString(self.value >> n, self.length - n))
 
     def flip(self, *positions: int) -> BitString:
         v = self.value
@@ -184,9 +171,6 @@ class Gf2Poly:
     def coeff(self, i: int) -> int:
         return (self.value >> i) & 1 if i >= 0 else 0
 
-    def __mul__(self, other: Gf2Poly) -> Gf2Poly:
-        return Gf2Poly(_mul(self.value, other.value))
-
 
 @lru_cache(maxsize=1 << 16)
 def _is_irreducible_value(v: int) -> bool:
@@ -217,18 +201,11 @@ def poly_is_irreducible(p: Gf2Poly) -> bool:
     return _is_irreducible_value(p.value)
 
 
-def encode_poly(p: Gf2Poly) -> BitString:
-    """n-bit encoding of a degree-n polynomial: coefficients of x^0..x^(n-1)."""
-    n = p.degree
-    if n < 1:
-        raise ValueError("cannot encode zero or constant polynomial")
-    return BitString(p.value & ((1 << n) - 1), n)
-
-
 def decode_poly(r: BitString) -> Gf2Poly | None:
-    """Inverse of the n-bit encoding; None when the result is reducible.
+    """Degree-n polynomial from its n-bit encoding; None when it is reducible.
 
-    The leading x^n coefficient is an implicit 1; a decode that fails the
+    The encoding holds the coefficients of x^0..x^(n-1) and the leading x^n
+    coefficient is an implicit 1; a decode that fails the
     irreducibility check signals tampering and the caller must reject.
     """
     n = r.length

@@ -25,6 +25,7 @@ from .protocol import (
     ForwardPacket,
     RoundRecord,
     SignatureBundle,
+    TagMemo,
     VerificationOutcome,
     arbitrator_close_round,
     arbitrator_verify,
@@ -94,10 +95,6 @@ class Event(NamedTuple):
     seq: int
     receiver: str
     payload: object
-
-    @property
-    def sort_key(self) -> tuple[int, int, str, int]:
-        return self[:4]
 
 
 class EventQueue:
@@ -282,7 +279,9 @@ class _RoundRunner:
         self.link_keys = dict(zip(topology.receiver_ids, bundles))
         self.signer_sk = combine(bundles, self.arb_bundle)
         message = BitString.random(security.m_bits, self.rng)
-        self.bundle = sign(message, self.signer_sk, self.rng)
+        # the round's one tag memo: every untampered copy verifies off sign's tag
+        self.memo = TagMemo()
+        self.bundle = sign(message, self.signer_sk, self.rng, self.memo)
         self.bundle_text = _bundle_text(self.bundle)
 
         self.record = RoundRecord.open(topology.receiver_ids, topology.deadline,
@@ -392,7 +391,7 @@ class _RoundRunner:
 
     def _on_key_release(self, ev: Event, session: SessionKeys) -> None:
         rid = ev.receiver
-        verdict = receiver_verify(self.receiver_copy[rid], session)
+        verdict = receiver_verify(self.receiver_copy[rid], session, self.memo)
         self.announcements[rid] = verdict
         self._send(ev.at + 1, rid, ARBITRATOR, "announce", verdict,
                    _digest(f"announce[{rid}:{verdict.value}]"))
@@ -400,7 +399,7 @@ class _RoundRunner:
     def _on_announce(self, ev: Event, verdict: VerificationOutcome) -> None:
         rid = ev.sender
         if verdict is VerificationOutcome.ACCEPTED:
-            outcome = arbitrator_verify(self.packets[rid], self.session)
+            outcome = arbitrator_verify(self.packets[rid], self.session, self.memo)
             if outcome is VerificationOutcome.ACCEPTED:
                 self.record.archive_verified(self.packets[rid].bundle)
         else:

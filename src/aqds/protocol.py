@@ -29,11 +29,6 @@ class VerificationOutcome(Enum):
     ACCEPTED = "accepted"
     REJECTED = "rejected"
     TIMED_OUT = "timed-out"
-    INVALID = "invalid"
-
-
-class RoundAbortError(RuntimeError):
-    """Raised when a round cannot complete (e.g. timeout keys unavailable)."""
 
 
 @dataclass(frozen=True)
@@ -66,31 +61,34 @@ class ForwardPacket:
             raise ValueError("key length inconsistent with signature length")
 
 
-# the last tag computed: (message object, polynomial value, seed, tag); one
-# entry, so it holds at most one message alive
-_last_tag: tuple[BitString, int, int, int] | None = None
-
-
-def _tag(poly: Gf2Poly, seed: int, message: BitString) -> int:
-    """The LFSR-Toeplitz tag of ``message`` under (poly, seed), as an int.
+@dataclass
+class TagMemo:
+    """The last tag a round computed: (message, polynomial value, seed, tag).
 
     In a round, the signer, every receiver and the arbitrator tag the same
-    message object under the same keys, so the last tag is reused when the
-    message *is* the last one hashed and the keys are equal.  The message
-    is matched by identity, an O(1) test that is exact because a
-    ``BitString`` never changes; a tampered message is a new object and is
-    hashed afresh.
+    message object under the same keys, so the round keeps one entry and
+    ``accepts`` reuses it.  The memo dies with the round; callers that pass
+    none hash every time.
     """
-    global _last_tag
-    last = _last_tag
-    if last and last[0] is message and last[1:3] == (poly.value, seed):
-        return last[3]
+
+    entry: tuple[BitString, int, int, int] | None = None
+
+
+def _tag(poly: Gf2Poly, seed: int, message: BitString,
+         memo: TagMemo | None = None) -> int:
+    """The LFSR-Toeplitz tag of ``message`` under (poly, seed), as an int.
+
+    The one writer of ``memo``: it records the tag after the hasher has
+    accepted the polynomial.
+    """
     tag = LfsrToeplitzHasher(poly, BitString(seed, poly.degree)).hash(message).value
-    _last_tag = (message, poly.value, seed, tag)
+    if memo is not None:
+        memo.entry = (message, poly.value, seed, tag)
     return tag
 
 
-def sign(message: BitString, sk: SessionKeys, rng: Random) -> SignatureBundle:
+def sign(message: BitString, sk: SessionKeys, rng: Random,
+         memo: TagMemo | None = None) -> SignatureBundle:
     """Sign a message: tag it, append the polynomial encoding, one-time-pad.
 
     Verifiers recover the n-bit polynomial encoding from the signature.
@@ -99,47 +97,54 @@ def sign(message: BitString, sk: SessionKeys, rng: Random) -> SignatureBundle:
         raise ValueError("message must be non-empty")
     n = sk.n
     poly, r_s = sample_irreducible(n, rng)
-    plain = _tag(poly, sk.ys.value, message) | r_s.value << n
+    plain = _tag(poly, sk.ys.value, message, memo) | r_s.value << n
     return SignatureBundle(message, BitString(sk.xs.value ^ plain, 2 * n))
 
 
-def accepts(message: BitString, signature: int, xs: int, ys: int, n: int) -> bool:
+def accepts(message: BitString, signature: int, xs: int, ys: int, n: int,
+            memo: TagMemo | None = None) -> bool:
     """Whether a 2n-bit ``signature`` verifies ``message`` under keys (xs, ys).
 
     Strips the pad xs, decodes the upper n bits as the polynomial (a
     reducible decode rejects) and compares the lower n bits with the tag
-    of ``message`` under (polynomial, ys).  A tag memo hit on all three skips
-    the decode, exactly: only ``_tag`` writes the memo, after the hasher has
-    accepted the polynomial.  Int arguments let attack trials skip key objects.
+    of ``message`` under (polynomial, ys).  A ``memo`` entry for the same
+    message object, polynomial and seed skips the decode and the hash,
+    exactly: the message is matched by identity, which is exact because a
+    ``BitString`` never changes, and only ``_tag`` writes the memo.  Int
+    arguments let attack trials skip key objects.
     """
     plain = xs ^ signature
-    if (_last_tag and _last_tag[0] is message and not plain >> 2 * n
-            and _last_tag[1:3] == (plain >> n | 1 << n, ys)):
-        return _last_tag[3] == plain & ((1 << n) - 1)
+    last = memo and memo.entry
+    if (last and last[0] is message and not plain >> 2 * n
+            and last[1:3] == (plain >> n | 1 << n, ys)):
+        return last[3] == plain & ((1 << n) - 1)
     poly = decode_poly(BitString(plain >> n, n))
-    return poly is not None and _tag(poly, ys, message) == plain & ((1 << n) - 1)
+    return (poly is not None
+            and _tag(poly, ys, message, memo) == plain & ((1 << n) - 1))
 
 
-def receiver_verify(bundle: SignatureBundle, sk: SessionKeys) -> VerificationOutcome:
+def receiver_verify(bundle: SignatureBundle, sk: SessionKeys,
+                    memo: TagMemo | None = None) -> VerificationOutcome:
     """Receiver-side check of the broadcast bundle against the released keys.
 
-    INVALID when the signature length does not match the keys; otherwise
-    ``accepts`` decides between ACCEPTED and REJECTED.
+    Raises ValueError when the signature length does not match the keys.
     """
     if bundle.signature.length != sk.xs.length:
-        return VerificationOutcome.INVALID
-    if accepts(bundle.message, bundle.signature.value, sk.xs.value, sk.ys.value, sk.n):
+        raise ValueError("signature length does not match the keys")
+    if accepts(bundle.message, bundle.signature.value, sk.xs.value, sk.ys.value,
+               sk.n, memo):
         return VerificationOutcome.ACCEPTED
     return VerificationOutcome.REJECTED
 
 
-def arbitrator_verify(packet: ForwardPacket, sk: SessionKeys) -> VerificationOutcome:
+def arbitrator_verify(packet: ForwardPacket, sk: SessionKeys,
+                      memo: TagMemo | None = None) -> VerificationOutcome:
     """Arbitrator-side check of a forwarded (possibly tampered) bundle.
 
     It runs the receiver's check on the forwarded bundle, so receiver and
     arbitrator verdicts on identical inputs are identical by construction.
     """
-    return receiver_verify(packet.bundle, sk)
+    return receiver_verify(packet.bundle, sk, memo)
 
 
 @dataclass
@@ -183,8 +188,8 @@ def arbitrator_close_round(
     Packets sent by the deadline contribute their keys; receivers without
     one are marked timed out and take their keys from ``fetched``, the
     keys the arbitrator fetched from the signer over the authenticated
-    channel.  A timed-out receiver missing from ``fetched`` aborts the
-    round.  Session keys are later released only to the on-time receivers.
+    channel.  A timed-out receiver missing from ``fetched`` raises
+    ValueError.  Session keys are later released only to the on-time receivers.
     """
     if now < record.deadline:
         raise ValueError("cannot close before the deadline")
@@ -194,7 +199,7 @@ def arbitrator_close_round(
     timeouts = [r for r in record.receiver_ids if r not in record.key_set]
     missing = [r for r in timeouts if r not in fetched]
     if missing:
-        raise RoundAbortError(
+        raise ValueError(
             f"signer did not supply timeout keys for {', '.join(missing)}")
     for r in timeouts:
         record.key_set[r] = fetched[r]

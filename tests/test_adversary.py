@@ -24,7 +24,6 @@ from aqds.gf2_hash import (
     Gf2Poly,
     LfsrToeplitzHasher,
     decode_poly,
-    encode_poly,
     poly_is_irreducible,
 )
 from aqds.keymat import SecurityParams, SessionKeys
@@ -222,8 +221,10 @@ class TestExactForgeryRates:
         accepted = 0
         for p in polys:
             for ys in (BitString(v, n) for v in range(1 << n)):
-                tag = LfsrToeplitzHasher(p, ys).hash(message)
-                bundle = SignatureBundle(message, xs ^ tag.concat(encode_poly(p)))
+                tag = LfsrToeplitzHasher(p, ys).hash(message).value
+                # tag in the low n bits, the encoding (p without x^n) above it
+                plain = BitString(tag | (p.value ^ 1 << n) << n, 2 * n)
+                bundle = SignatureBundle(message, xs ^ plain)
                 forged = polynomial_guess_strategy(bundle, Random(13))
                 accepted += receiver_verify(forged, SessionKeys(xs, ys)) is A
         assert Fraction(accepted, len(polys) << n) == guess_rate(n, m) == Fraction(3, 8)

@@ -55,7 +55,7 @@ class TestCombine:
         assert combine(bundles, arb) == combine(bundles, arb)
 
     def test_zero_receiver_keys_yield_arbitrator(self):
-        zero = KeyBundle(BitString.zeros(8), BitString.zeros(4))
+        zero = KeyBundle(BitString(0, 8), BitString(0, 4))
         _, arb = distribute_keys(4, 1, Random(2))
         sk = combine([zero], arb)
         assert sk.xs == arb.x and sk.ys == arb.y
@@ -72,16 +72,16 @@ class TestCombine:
         assert back.xs == arb.x and back.ys == arb.y
 
     def test_length_mismatch_rejected(self):
-        a = KeyBundle(BitString.zeros(8), BitString.zeros(4))
-        b = KeyBundle(BitString.zeros(16), BitString.zeros(8))
+        a = KeyBundle(BitString(0, 8), BitString(0, 4))
+        b = KeyBundle(BitString(0, 16), BitString(0, 8))
         with pytest.raises(ValueError):
             combine([a], b)
 
     def test_bundle_shape_validated(self):
         with pytest.raises(ValueError):
-            KeyBundle(BitString.zeros(9), BitString.zeros(4))
+            KeyBundle(BitString(0, 9), BitString(0, 4))
         with pytest.raises(ValueError):
-            SessionKeys(BitString.zeros(7), BitString.zeros(4))
+            SessionKeys(BitString(0, 7), BitString(0, 4))
 
 
 class TestRequiredN:

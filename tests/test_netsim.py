@@ -69,7 +69,7 @@ class TestEventQueue:
         q = EventQueue()
         events = [q.push(at, kind, sender, "x", i)
                   for i, (at, kind, sender) in enumerate(spec)]
-        reference = sorted(events, key=lambda e: e.sort_key)
+        reference = sorted(events, key=lambda e: e[:4])
         drained = []
         while q:
             drained.append(q.advance())
@@ -89,12 +89,12 @@ class TestEventTuples:
         while q:
             drained.append(q.advance())
         assert drained == sorted(events)
-        assert drained == sorted(events, key=lambda e: e.sort_key)
+        assert drained == sorted(events, key=lambda e: e[:4])
 
     def test_fields_in_order(self):
         ev = EventQueue().push(3, EventKind.DELIVER, "a", "b", "body")
         assert ev == Event(3, EventKind.DELIVER, "a", 0, "b", "body")
-        assert ev.sort_key == (3, EventKind.DELIVER, "a", 0)
+        assert ev[:4] == (3, EventKind.DELIVER, "a", 0)
 
 
 class TestTopology:

@@ -19,12 +19,13 @@ from aqds.gf2_hash import (
     sample_irreducible,
     toeplitz_oracle,
 )
-from aqds.keymat import KeyBundle, SessionKeys, combine, distribute_keys
+from aqds.keymat import KeyBundle, SecurityParams, SessionKeys, combine, distribute_keys
+from aqds.netsim import Topology, run_round
 from aqds.protocol import (
     ForwardPacket,
-    RoundAbortError,
     RoundRecord,
     SignatureBundle,
+    TagMemo,
     VerificationOutcome,
     arbitrator_close_round,
     arbitrator_verify,
@@ -37,12 +38,12 @@ A = VerificationOutcome.ACCEPTED
 R = VerificationOutcome.REJECTED
 
 
-def honest_setup(n=16, k=3, m=64, seed=0):
+def honest_setup(n=16, k=3, m=64, seed=0, memo=None):
     rng = Random(seed)
     bundles, arb = distribute_keys(n, k, rng)
     sk = combine(bundles, arb)
     message = BitString.random(m, rng)
-    return rng, bundles, arb, sk, sign(message, sk, rng)
+    return rng, bundles, arb, sk, sign(message, sk, rng, memo)
 
 
 class TestSign:
@@ -77,14 +78,15 @@ class TestSign:
     def test_rejects_empty_message(self):
         _, _, _, sk, _ = honest_setup()
         with pytest.raises(ValueError):
-            sign(BitString.zeros(0), sk, Random(0))
+            sign(BitString(0, 0), sk, Random(0))
 
 
 class TestReceiverVerify:
     def test_length_mismatch_invalid(self):
         _, _, _, sk, bundle = honest_setup(n=16)
-        short = SessionKeys(BitString.zeros(24), BitString.zeros(12))
-        assert receiver_verify(bundle, short) is VerificationOutcome.INVALID
+        short = SessionKeys(BitString(0, 24), BitString(0, 12))
+        with pytest.raises(ValueError):
+            receiver_verify(bundle, short)
 
     def test_single_flipped_bit_mostly_rejected(self):
         # Monte Carlo: acceptance of a one-bit tamper stays under m/2^(n-1)
@@ -122,7 +124,7 @@ class TestReceiverVerify:
         # (0, 0) is x^2, so craft the signature accordingly
         rng = Random(9)
         sk = SessionKeys(BitString.random(4, rng), BitString.random(2, rng))
-        digest = BitString.zeros(2).concat(BitString.zeros(2)) ^ sk.xs
+        digest = BitString(0, 4) ^ sk.xs
         bundle = SignatureBundle(BitString.random(8, rng), digest)
         assert receiver_verify(bundle, sk) is R
 
@@ -148,7 +150,7 @@ class TestArbitratorVerify:
 
     def test_packet_key_shape_validated(self):
         _, bundles, _, sk, bundle = honest_setup(n=16)
-        wrong = KeyBundle(BitString.zeros(8), BitString.zeros(4))
+        wrong = KeyBundle(BitString(0, 8), BitString(0, 4))
         with pytest.raises(ValueError):
             ForwardPacket("r1", bundle, wrong, sent_at=0)
 
@@ -195,7 +197,7 @@ class TestCloseRound:
 
     def test_missing_timeout_key_aborts(self):
         _, _, record, packets, _ = self.setup_round(timeouts=("r1",))
-        with pytest.raises(RoundAbortError, match="r1"):
+        with pytest.raises(ValueError, match="r1"):
             arbitrator_close_round(record, packets, now=10, fetched={})
 
 
@@ -239,16 +241,6 @@ def signed_tag(bundle, sk):
     return tag, decode_poly(r)
 
 
-def fresh_verdict(bundle, sk):
-    """``receiver_verify`` with the tag memo emptied, then put back."""
-    saved = protocol._last_tag
-    protocol._last_tag = None
-    try:
-        return receiver_verify(bundle, sk)
-    finally:
-        protocol._last_tag = saved
-
-
 # one step: (action, message 0-3, key set 0-2, signature bit to flip or None)
 STEPS = st.lists(st.tuples(st.sampled_from(("sign", "verify", "arbitrate")),
                            st.integers(0, 3), st.integers(0, 2),
@@ -270,12 +262,13 @@ class TestTagMemo:
         # the message, an equal-valued distinct object, and two tampered copies
         messages = [message, BitString(message.value, m),
                     message.flip(rng.randrange(m)), message.flip(0, m - 1)]
-        signed = [sign(message, keys[0][1], rng)]
+        memo = TagMemo()
+        signed = [sign(message, keys[0][1], rng, memo)]
         for action, which, key, flip in steps:
             msg = messages[which]
             link, sk = keys[key]
             if action == "sign":
-                bundle = sign(msg, sk, rng)
+                bundle = sign(msg, sk, rng, memo)
                 tag, poly = signed_tag(bundle, sk)
                 assert tag == toeplitz_oracle(poly, sk.ys, msg)
                 signed.append(bundle)
@@ -285,65 +278,82 @@ class TestTagMemo:
                 signature = signature.flip(flip % signature.length)
             bundle = SignatureBundle(msg, signature)
             if action == "verify":
-                verdict = receiver_verify(bundle, sk)
+                verdict = receiver_verify(bundle, sk, memo)
             else:
                 verdict = arbitrator_verify(
-                    ForwardPacket("r1", bundle, link, sent_at=0), sk)
-            assert verdict is fresh_verdict(bundle, sk)
+                    ForwardPacket("r1", bundle, link, sent_at=0), sk, memo)
+            assert verdict is receiver_verify(bundle, sk)
 
     def test_same_message_with_flipped_tag_bit_rejected(self):
         _, _, _, sk, bundle = honest_setup()
-        assert receiver_verify(bundle, sk) is A  # the memo now holds this message
+        memo = TagMemo()
+        assert receiver_verify(bundle, sk, memo) is A
+        entry = memo.entry
+        assert entry[0] is bundle.message
         for bit in range(sk.n):
             forged = SignatureBundle(bundle.message, bundle.signature.flip(bit))
-            assert receiver_verify(forged, sk) is R
+            assert receiver_verify(forged, sk, memo) is R
+            assert memo.entry is entry  # a hit: nothing was hashed afresh
 
     def test_same_message_under_another_seed_rejected(self):
         _, _, _, sk, bundle = honest_setup()
-        assert receiver_verify(bundle, sk) is A
+        memo = TagMemo()
         tag, poly = signed_tag(bundle, sk)
         for bit in range(sk.n):
+            assert receiver_verify(bundle, sk, memo) is A  # the memo holds sk's tag
             other = SessionKeys(sk.xs, sk.ys.flip(bit))
             # the tag under the other seed really differs, so acceptance
             # could only come from a stale memo entry
             assert toeplitz_oracle(poly, other.ys, bundle.message) != tag
-            assert receiver_verify(bundle, other) is R
+            assert receiver_verify(bundle, other, memo) is R
 
     def test_memo_holds_only_the_last_message(self):
-        rng, _, _, sk, bundle = honest_setup()
+        memo = TagMemo()
+        rng, _, _, sk, bundle = honest_setup(memo=memo)
         first = weakref.ref(bundle.message)
         del bundle
         gc.collect()
         assert first() is not None  # one entry keeps the last message alive
-        sign(BitString.random(64, rng), sk, rng)
+        sign(BitString.random(64, rng), sk, rng, memo)
         gc.collect()
         assert first() is None
+
+    def test_round_frees_its_message_when_its_transcript_is_dropped(self):
+        t = run_round(Topology.fully_connected(3), SecurityParams.for_n(16, 64, 3),
+                      seed=5)
+        message = weakref.ref(t.record.message)
+        del t
+        gc.collect()
+        assert message() is None
 
 
 class TestVerifyOffTheMemo:
     def test_every_signature_bit_flip_matches_fresh_verdict(self, monkeypatch):
         _, _, _, sk, bundle = honest_setup(n=16)
+        memo = TagMemo()
         decodes = []
         monkeypatch.setattr(protocol, "decode_poly",
                             lambda r: decodes.append(r) or decode_poly(r))
         for bit in range(2 * sk.n):
-            assert receiver_verify(bundle, sk) is A  # the memo holds the bundle
+            assert receiver_verify(bundle, sk, memo) is A  # the memo holds the bundle
             forged = SignatureBundle(bundle.message, bundle.signature.flip(bit))
             decodes.clear()
-            verdict = receiver_verify(forged, sk)
+            verdict = receiver_verify(forged, sk, memo)
             # bits 0..n-1 carry the tag and hit the memo; the rest carry the
             # polynomial, miss it and decode
             assert len(decodes) == (bit >= sk.n)
-            assert verdict is fresh_verdict(forged, sk)
+            assert verdict is receiver_verify(forged, sk)
             if bit < sk.n:
                 assert verdict is R
 
     def test_signature_wider_than_2n_bits_raises_on_a_memo_hit_too(self):
         _, _, _, sk, bundle = honest_setup(n=16)
-        assert receiver_verify(bundle, sk) is A  # the memo holds the bundle
+        memo = TagMemo()
+        assert receiver_verify(bundle, sk, memo) is A  # the memo holds the bundle
         wide = bundle.signature.value | 1 << 2 * sk.n
         with pytest.raises(ValueError):
-            protocol.accepts(bundle.message, wide, sk.xs.value, sk.ys.value, sk.n)
+            protocol.accepts(bundle.message, wide, sk.xs.value, sk.ys.value, sk.n,
+                             memo)
 
 
 class TestIntCoreExhaustive:
@@ -365,4 +375,4 @@ class TestIntCoreExhaustive:
                     for xs in range(1 << 2 * n):
                         bundle = SignatureBundle(message, BitString(xs ^ plain, 2 * n))
                         sk = SessionKeys(BitString(xs, 2 * n), seed)
-                        assert fresh_verdict(bundle, sk) is want, (bundle, sk)
+                        assert receiver_verify(bundle, sk) is want, (bundle, sk)
