@@ -11,7 +11,6 @@ All functions are pure: random choices come from an explicitly passed
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
@@ -153,6 +152,35 @@ def _sq(a: int) -> int:
     return out
 
 
+# Below 2 * _FOLD bits one _mod, a shift-and-XOR per leading bit on a few
+# machine words, is cheaper than squaring up x^w mod p and multiplying.  Of
+# the bases 64 .. 512 timed at m = 32, 64, 512 and 16 384 bits, 256 was the
+# fastest at 16 384 and within 6 % of the fastest at the others.
+_FOLD = 256
+
+
+def _fold_mod(a: int, p: int) -> int:
+    """a mod p by folds a = hi x^w + lo == hi (x^w mod p) + lo, w halving.
+
+    The widths are w = _FOLD 2^j above deg p (a fold at w <= deg p cannot
+    shrink a), up to the first one with a in 2w bits; each fold is exact
+    mod p, so the cost is log m big-int multiplies by n-bit constants
+    rather than an interpreted step per message word.
+    """
+    w = _FOLD
+    while w < p.bit_length():
+        w <<= 1
+    ladder = []  # (w, x^w mod p), widths doubling
+    if a.bit_length() > 2 * w:
+        ladder.append((w, _mod(1 << w, p)))
+        while a.bit_length() > 2 * w:
+            w <<= 1
+            ladder.append((w, _mod(_sq(ladder[-1][1]), p)))
+    for w, c in reversed(ladder):
+        a = _mul(a >> w, c) ^ (a & ((1 << w) - 1))
+    return _mod(a, p)
+
+
 @dataclass(frozen=True)
 class Gf2Poly:
     """Polynomial over GF(2); bit i of ``value`` is the coefficient of x^i."""
@@ -280,10 +308,11 @@ class LfsrToeplitzHasher:
 
         sum_j M_j s_{i+j} = L(x^i * M(x) mod p),   M(x) = sum_j M_j x^j.
 
-    One Horner pass over the message computes R = M(x) mod p, then n
-    multiply-by-x steps read off the tag, so the cost is linear in m rather
-    than one m-bit stream shift per set message bit (Krawczyk, "LFSR-based
-    hashing and authentication", CRYPTO '94).
+    ``_fold_mod`` computes R = M(x) mod p in log m folds, each one big-int
+    multiply by the n-bit x^w mod p, then n multiply-by-x steps read off
+    the tag.  No interpreted step runs once per message bit or word, and no
+    m-bit keystream is built (Krawczyk, "LFSR-based hashing and
+    authentication", CRYPTO '94).
     """
 
     poly: Gf2Poly
@@ -300,17 +329,12 @@ class LfsrToeplitzHasher:
         return self.poly.degree
 
     def hash(self, message: BitString) -> BitString:
-        m = message.length
-        if m < 1:
+        if message.length < 1:
             raise ValueError("message must be non-empty")
         n = self.n
         p = self.poly.value
         seed = self.seed.value
-        # R = M(x) mod p by Horner over 64-bit words, most significant first
-        raw = message.value.to_bytes((m + 63) // 64 * 8, "big")
-        r = 0
-        for (word,) in struct.iter_unpack(">Q", raw):
-            r = _mod(r << 64 | word, p)
+        r = _fold_mod(message.value, p)  # R = M(x) mod p
         # tag bit i = L(x^i R mod p)
         tag = 0
         for i in range(n):

@@ -33,6 +33,14 @@ class TestSignRound:
         assert len(lines) == 7
         assert all(line.endswith(",accepted,48,144") for line in lines[1:])
 
+    def test_paper_size_message(self, capsys):
+        # the paper's budget point: a 1 MB (2^23-bit) message at eps = 1e-20
+        code, out = run_cli(capsys, "sign-round", "--message-bytes", "1M",
+                            "--epsilon", "1e-20", "--receivers", "1")
+        assert code == EXIT_OK
+        assert out.splitlines() == ["receiver,outcome,n,bits_per_link",
+                                    "r1,accepted,91,273"]
+
     def test_seed_repeat_identical_bytes(self, capsys, tmp_path):
         t1 = tmp_path / "a.log"
         t2 = tmp_path / "b.log"

@@ -11,6 +11,8 @@ from aqds.gf2_hash import (
     BitString,
     Gf2Poly,
     LfsrToeplitzHasher,
+    _fold_mod,
+    _mod,
     _mul,
     decode_poly,
     lfsr_stream,
@@ -325,21 +327,33 @@ def _random_hasher(n, seed):
 
 
 class TestHashProperties:
-    """The Horner fast path against the oracle around its 64-bit word edges."""
+    """The folding hash against the oracle across three fold levels.
+
+    With n <= 40 the folds start at w = _FOLD = 256 bits, so m > 512, 1024
+    and 2048 take one, two and three folds; the examples sit on those edges
+    and one has n > _FOLD, where the first fold is at 512 bits.
+    """
 
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(2, 40), st.integers(1, 300), st.integers(0, 2**32))
+    @given(st.integers(2, 40), st.integers(1, 2100), st.integers(0, 2**32))
     @example(40, 63, 1)
     @example(40, 64, 2)
     @example(40, 65, 3)
     @example(2, 64, 4)
+    @example(40, 511, 5)
+    @example(40, 512, 6)
+    @example(40, 513, 7)
+    @example(2, 1024, 8)
+    @example(40, 1025, 9)
+    @example(40, 2049, 10)
+    @example(300, 2049, 11)
     def test_matches_oracle(self, n, m, seed):
         hasher, rng = _random_hasher(n, seed)
         msg = BitString.random(m, rng)
         assert hasher.hash(msg) == toeplitz_oracle(hasher.poly, hasher.seed, msg)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(2, 40), st.integers(1, 300), st.integers(0, 2**32))
+    @given(st.integers(2, 40), st.integers(1, 2100), st.integers(0, 2**32))
     def test_linearity(self, n, m, seed):
         hasher, rng = _random_hasher(n, seed)
         m1 = BitString.random(m, rng)
@@ -347,7 +361,7 @@ class TestHashProperties:
         assert hasher.hash(m1 ^ m2) == hasher.hash(m1) ^ hasher.hash(m2)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(2, 40), st.integers(1, 300), st.integers(1, 200),
+    @given(st.integers(2, 40), st.integers(1, 2100), st.integers(1, 200),
            st.integers(0, 2**32))
     def test_prefix_property(self, n, m, extra, seed):
         # the n x m matrix is the first m columns of the n x (m + extra) one,
@@ -355,6 +369,61 @@ class TestHashProperties:
         hasher, rng = _random_hasher(n, seed)
         msg = BitString.random(m, rng)
         assert hasher.hash(BitString(msg.value, m + extra)) == hasher.hash(msg)
+
+
+class TestFoldMod:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 300), st.integers(0, 1 << 14), st.integers(0, 2**32))
+    @example(2, 0, 1)  # a = 0
+    @example(300, 299, 2)  # a < p: no fold, no reduction
+    @example(300, 1 << 14, 3)
+    def test_equals_plain_mod(self, n, bits, seed):
+        # any degree-n modulus: each fold is a congruence mod p, irreducible
+        # or not
+        rng = Random(seed)
+        p = 1 << n | rng.getrandbits(n)
+        a = rng.getrandbits(bits)
+        assert _fold_mod(a, p) == _mod(a, p)
+
+
+def xpow_mod(j, p):
+    """x^j mod p by square-and-multiply, sharing no step with the folds."""
+    r, b = 1, 2
+    while j:
+        if j & 1:
+            r = _mod(_mul(r, b), p)
+        b = _mod(_mul(b, b), p)
+        j >>= 1
+    return r
+
+
+class TestPaperSize:
+    """A 1 MB (2^23-bit) message at n = 91, the paper's eps = 1e-20 point."""
+
+    M, N = 1 << 23, 91
+
+    def test_sparse_message_matches_oracle_on_its_residue(self):
+        # tag(M) = tag(M mod p), and M mod p is an n-bit message the oracle
+        # can hash
+        hasher, rng = _random_hasher(self.N, 23)
+        p = hasher.poly.value
+        bits = {self.M - 1, 0, 1 << 22, *rng.sample(range(self.M), 5)}
+        residue = 0
+        for j in bits:
+            residue ^= xpow_mod(j, p)
+        msg = BitString(sum(1 << j for j in bits), self.M)
+        assert hasher.hash(msg) == toeplitz_oracle(
+            hasher.poly, hasher.seed, BitString(residue, self.N))
+
+    def test_adding_a_multiple_of_p_leaves_the_tag(self):
+        # q p with q = x^(m-n-1) + random lower terms has degree m - 1; p
+        # shifted alone would still pass some wrong folds (c = 1 above a
+        # level), since its residues mod x^w + 1 stay multiples of p
+        hasher, rng = _random_hasher(self.N, 91)
+        msg = BitString.random(self.M, rng)
+        q = 1 << (self.M - self.N - 1) | rng.getrandbits(self.M - self.N - 1)
+        multiple = BitString(_mul(q, hasher.poly.value), self.M)
+        assert hasher.hash(msg ^ multiple) == hasher.hash(msg)
 
 
 class TestCollisionBound:
