@@ -46,9 +46,15 @@ def _parse_size(text: str) -> int:
 
 
 def _comma_list(item):
-    """Argument type parsing a comma list with ``item``; blank items are skipped."""
+    """Argument type parsing a comma list with ``item``; blank items are skipped.
+
+    A list with no item left is a usage error, not an empty table.
+    """
     def comma_list(text: str) -> list:
-        return [item(x) for x in text.split(",") if x.strip()]
+        items = [item(x) for x in text.split(",") if x.strip()]
+        if not items:
+            raise argparse.ArgumentTypeError("list needs at least one item")
+        return items
     return comma_list
 
 

@@ -200,17 +200,23 @@ class Gf2Poly:
         return (self.value >> i) & 1 if i >= 0 else 0
 
 
-@lru_cache(maxsize=1 << 16)
+@lru_cache(maxsize=1 << 15)
 def _is_irreducible_value(v: int) -> bool:
-    n = v.bit_length() - 1
-    if n == 1:
-        return True
-    if not v & 1:
-        return False  # divisible by x
-    if v.bit_count() & 1 == 0:
-        return False  # p(1) = 0, divisible by x+1
+    """Ben-Or's ladder alone: is the degree >= 1 polynomial v irreducible?
+
+    Walks b = x^(2^d) mod v for d = 1..deg/2 and rejects as soon as
+    gcd(b + x, v) is non-trivial; any factor of degree d <= deg/2 divides
+    x^(2^d) + x, so survival of the full ladder proves irreducibility.  It
+    is exact for every v: step d = 1 takes the gcd with x^2 + x, which finds
+    the factors x and x + 1.
+
+    The callers reject those two factors in O(1) first, so the cache holds
+    only values that need the ladder.  A degree-n value that passes both
+    parity checks is one of 2^(n-2), so the 2^15 entries hold every verdict
+    up to degree 17 without eviction.
+    """
     b = 2
-    for _ in range(n // 2):
+    for _ in range((v.bit_length() - 1) // 2):
         b = _mod(_sq(b), v)
         if _gcd(b ^ 2, v) != 1:
             return False
@@ -220,13 +226,18 @@ def _is_irreducible_value(v: int) -> bool:
 def poly_is_irreducible(p: Gf2Poly) -> bool:
     """Deterministic irreducibility test over GF(2).
 
-    Walks the ladder b = x^(2^k) mod p for k = 1..deg/2 and rejects as soon
-    as gcd(b + x, p) is non-trivial; any factor of degree d <= deg/2 divides
-    x^(2^d) + x, so survival of the full ladder proves irreducibility.
+    Degree 1 is irreducible.  Above it, p(0) = 0 (a factor x) and p(1) = 0
+    (an even number of terms, a factor x + 1) reject at once; what is left
+    goes to the cached ladder ``_is_irreducible_value``.
     """
     if p.degree < 1:
         raise ValueError("zero or constant polynomial has no factorization")
-    return _is_irreducible_value(p.value)
+    if p.degree == 1:
+        return True
+    v = p.value
+    if not v & 1 or not v.bit_count() & 1:
+        return False  # p(0) = 0 or p(1) = 0: a factor x or x + 1
+    return _is_irreducible_value(v)
 
 
 def decode_poly(r: BitString) -> Gf2Poly | None:
@@ -248,17 +259,20 @@ def sample_irreducible(n: int, rng: Random) -> tuple[Gf2Poly, BitString]:
 
     Rejection-samples the n low coefficients until the polynomial (with
     implicit leading 1) is irreducible, so the draw is uniform over all
-    monic irreducibles of degree n.  Draws are tested as plain integers
-    through the cached ``_is_irreducible_value``, not ``poly_is_irreducible``;
-    only the accepted draw becomes a ``Gf2Poly`` and a ``BitString``.
+    monic irreducibles of degree n.  Draws are tested as plain integers:
+    the parity checks of ``poly_is_irreducible`` reject about three in four
+    of them, and only the rest reach the cached ladder
+    ``_is_irreducible_value``.  Only the accepted draw becomes a ``Gf2Poly``
+    and a ``BitString``.
     """
     if n < 2:
         raise ValueError("degree must be at least 2")
     lead = 1 << n
     while True:
         low = rng.getrandbits(n)
-        if _is_irreducible_value(low | lead):
-            return Gf2Poly(low | lead), BitString(low, n)
+        v = low | lead
+        if v & 1 and v.bit_count() & 1 and _is_irreducible_value(v):
+            return Gf2Poly(v), BitString(low, n)
 
 
 # ---------------------------------------------------------------------------

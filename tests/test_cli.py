@@ -526,6 +526,21 @@ class TestMalformedInput:
         assert "Traceback" not in err
         assert "argument --distance-km" in err.splitlines()[-1]
 
+    @pytest.mark.parametrize("argv", [
+        ["consumption", "--receivers", ","],
+        ["consumption", "--epsilon", ""],
+        ["consumption", "--message-bytes", ",,"],
+        ["rate-curve", "--distance-km", ","],
+    ], ids=["receivers", "epsilon", "message-bytes", "distance-km"])
+    def test_empty_comma_list_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert f"argument {argv[1]}" in captured.err.splitlines()[-1]
+
     @pytest.mark.parametrize("spec, count", [("1e-9:2e-9:1e-10", 11),
                                              ("0:1e-8:1e-9", 11)])
     def test_tiny_range_stops_at_stop(self, spec, count):

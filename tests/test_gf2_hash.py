@@ -12,6 +12,7 @@ from aqds.gf2_hash import (
     Gf2Poly,
     LfsrToeplitzHasher,
     _fold_mod,
+    _is_irreducible_value,
     _mod,
     _mul,
     decode_poly,
@@ -108,6 +109,22 @@ class TestBitString:
 # ---------------------------------------------------------------------------
 # Irreducibility
 
+# monic irreducibles of degree 1..12 over GF(2): (1/n) sum_{d | n} mu(d) 2^(n/d)
+GAUSS_COUNTS = (2, 1, 2, 3, 6, 9, 18, 30, 56, 99, 186, 335)
+MAX_DEGREE = len(GAUSS_COUNTS)
+
+
+@pytest.fixture(scope="module")
+def reducible():
+    """Every reducible polynomial of degree <= MAX_DEGREE, by a product sieve."""
+    # reducible iff a product a * b with 1 <= deg a <= deg b
+    products = set()
+    for da in range(1, MAX_DEGREE // 2 + 1):
+        for a in range(1 << da, 1 << (da + 1)):
+            for b in range(1 << da, 1 << (MAX_DEGREE - da + 1)):
+                products.add(_mul(a, b))
+    return products
+
 
 class TestIrreducibility:
     def test_degree_two(self):
@@ -124,23 +141,66 @@ class TestIrreducibility:
         assert poly_is_irreducible(Gf2Poly(0b10))
         assert poly_is_irreducible(Gf2Poly(0b11))
 
-    def test_against_trial_division(self):
-        # independent oracle: a degree-n polynomial is reducible iff it is a
-        # product of two lower-degree polynomials
-        products = set()
-        for da in range(1, 7):
-            for a in range(1 << da, 1 << (da + 1)):
-                for db in range(1, 8 - da):
-                    for b in range(1 << db, 1 << (db + 1)):
-                        if da + db <= 7:
-                            products.add(_mul(a, b))
-        for n in range(2, 8):
-            for v in range(1 << n, 1 << (n + 1)):
-                assert poly_is_irreducible(Gf2Poly(v)) == (v not in products)
+    def test_against_trial_division(self, reducible):
+        # independent oracle over every monic polynomial of degree 1 .. 12
+        for v in range(2, 1 << (MAX_DEGREE + 1)):
+            assert poly_is_irreducible(Gf2Poly(v)) == (v not in reducible)
+
+    def test_counts_match_gauss_formula(self):
+        counts = tuple(len(all_irreducibles(n)) for n in range(1, MAX_DEGREE + 1))
+        assert counts == GAUSS_COUNTS
+
+    def test_ladder_alone_is_exact(self, reducible):
+        # the uncached ladder without the parity shortcuts of its callers:
+        # its first step takes gcd(x^2 + x, v), which finds the factors x and
+        # x + 1, so it is right on even constant terms and even weights too
+        ladder = _is_irreducible_value.__wrapped__
+        for v in range(2, 1 << (MAX_DEGREE + 1)):
+            assert ladder(v) == (v not in reducible)
 
     def test_count_degree_four(self):
         # 3 irreducibles of degree 4 (exhaustive check over all candidates)
         assert len(all_irreducibles(4)) == 3
+
+
+class TestIrreducibleCache:
+    """Only draws that need the ladder reach ``_is_irreducible_value``."""
+
+    @pytest.mark.parametrize("n, seed", [(16, 13), (82, 5)])
+    def test_sampler_caches_only_parity_survivors(self, n, seed):
+        _is_irreducible_value.cache_clear()
+        p, _ = sample_irreducible(n, Random(seed))
+        # replay the draws up to the accepted one (an irreducible draw is
+        # accepted the first time it comes up) and keep those with an odd
+        # constant term and an odd weight
+        rng, survivors = Random(seed), set()
+        while True:
+            v = rng.getrandbits(n) | 1 << n
+            if v & 1 and v.bit_count() & 1:
+                survivors.add(v)
+            if v == p.value:
+                break
+        assert _is_irreducible_value.cache_info().currsize == len(survivors)
+
+    def test_accepted_polynomials_are_pinned(self):
+        # the sampler's draws and verdicts, so also its output, are fixed
+        pinned = {10: 0x4ed, 44: 0x16c4f821daf1, 82: 0x40a9a332779f130084a4b}
+        _is_irreducible_value.cache_clear()
+        for n, value in pinned.items():
+            assert sample_irreducible(n, Random(2718))[0].value == value
+
+    def test_degree_sixteen_sweep_fits_and_hits(self):
+        # 2^14 of the 2^16 monic degree-16 values pass the parity checks,
+        # well under the cap, so a second sweep never runs the ladder
+        _is_irreducible_value.cache_clear()
+        sweep = [Gf2Poly(v) for v in range(1 << 16, 1 << 17)]
+        first = [poly_is_irreducible(p) for p in sweep]
+        info = _is_irreducible_value.cache_info()
+        assert info.currsize <= 1 << 14
+        assert [poly_is_irreducible(p) for p in sweep] == first
+        again = _is_irreducible_value.cache_info()
+        assert again.misses == info.misses
+        assert again.hits - info.hits == info.currsize
 
 
 class TestSampleDecode:

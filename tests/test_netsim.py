@@ -171,6 +171,32 @@ class TestRunRound:
         assert t.announcements["r1"] is VerificationOutcome.REJECTED
         assert t.outcomes["r1"] is VerificationOutcome.REJECTED
 
+    def test_two_flips_of_one_bit_give_the_honest_round(self):
+        # the second tamper undoes the first: the copy is a new object equal
+        # to the genuine bundle, so its text, digests and verdicts are too
+        flip = Rule(action="tamper", kind="broadcast", receiver="r1",
+                    target="signature", positions=(3,))
+        sec = SecurityParams.for_n(8, 32, 3)
+        honest = run_round(Topology.fully_connected(3), sec, seed=5)
+        t = run_round(Topology.fully_connected(3), sec,
+                      AdversaryScript((flip, flip)), seed=5)
+        assert t.render() == honest.render()
+
+    def test_forward_tampered_back_is_still_rejected(self):
+        # r1 holds a tampered copy and announces REJECTED; its forward,
+        # flipped back to the genuine bundle, does not change the verdict
+        script = AdversaryScript((
+            Rule(action="tamper", kind="broadcast", receiver="r1",
+                 target="signature", positions=(3,)),
+            Rule(action="tamper", kind="forward", sender="r1",
+                 target="signature", positions=(3,))))
+        t = run_round(Topology.fully_connected(3), SecurityParams.for_n(8, 32, 3),
+                      script, seed=5)
+        R = VerificationOutcome.REJECTED
+        assert t.announcements == {"r1": R, "r2": A, "r3": A}
+        assert t.outcomes == {"r1": R, "r2": A, "r3": A}
+        assert t.timeout_claims == {}
+
     def test_dropped_broadcast_times_out_with_no_claim(self):
         script = AdversaryScript((Rule(action="drop", kind="broadcast",
                                        receiver="r2"),))
