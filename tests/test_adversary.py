@@ -64,6 +64,25 @@ def guess_rate(n: int, m: int) -> Fraction:
     return hit + (1 - hit) / 2 ** n
 
 
+def guess_rate_over_every_key(n: int, m: int) -> Fraction:
+    """One genuine message and one guessed W against every (irreducible
+    p, ys): the share of the keys that accept the forgery."""
+    rng = Random(12)
+    message = BitString.random(m, rng)
+    xs = BitString.random(2 * n, rng)
+    polys = [p for p in map(Gf2Poly, range(1 << n, 2 << n)) if poly_is_irreducible(p)]
+    accepted = 0
+    for p in polys:
+        for ys in (BitString(v, n) for v in range(1 << n)):
+            tag = LfsrToeplitzHasher(p, ys).hash(message).value
+            # tag in the low n bits, the encoding (p without x^n) above it
+            plain = BitString(tag | (p.value ^ 1 << n) << n, 2 * n)
+            bundle = SignatureBundle(message, xs ^ plain)
+            forged = polynomial_guess_strategy(bundle, Random(13))
+            accepted += receiver_verify(forged, SessionKeys(xs, ys)) is A
+    return Fraction(accepted, len(polys) << n)
+
+
 class TestAttackResult:
     def test_threshold_adds_three_sigma(self):
         r = AttackResult(trials=10000, successes=0, bound=0.01)
@@ -210,24 +229,16 @@ class TestExactForgeryRates:
         assert Fraction(accepted, 1 << 12) == blind_rate(4) == Fraction(3, 256)
 
     def test_guess_rate_is_exact_over_every_key(self):
-        # one genuine message and one guessed W at n = 4, m = 8 against every
-        # (irreducible p, ys): W's one factor is p for 1 of the 3 quartics and
-        # a miss otherwise, which the tag still forgives for ys = 0 only
-        n, m = 4, 8
-        rng = Random(12)
-        message = BitString.random(m, rng)
-        xs = BitString.random(2 * n, rng)
-        polys = [p for p in map(Gf2Poly, range(1 << n, 2 << n)) if poly_is_irreducible(p)]
-        accepted = 0
-        for p in polys:
-            for ys in (BitString(v, n) for v in range(1 << n)):
-                tag = LfsrToeplitzHasher(p, ys).hash(message).value
-                # tag in the low n bits, the encoding (p without x^n) above it
-                plain = BitString(tag | (p.value ^ 1 << n) << n, 2 * n)
-                bundle = SignatureBundle(message, xs ^ plain)
-                forged = polynomial_guess_strategy(bundle, Random(13))
-                accepted += receiver_verify(forged, SessionKeys(xs, ys)) is A
-        assert Fraction(accepted, len(polys) << n) == guess_rate(n, m) == Fraction(3, 8)
+        # at n = 4, m = 8 W's one factor is p for 1 of the 3 quartics and a
+        # miss otherwise, which the tag still forgives for ys = 0 only
+        assert guess_rate_over_every_key(4, 8) == guess_rate(4, 8) == Fraction(3, 8)
+
+    @pytest.mark.slow
+    def test_guess_rate_is_exact_over_every_key_at_n10_m32(self):
+        # W has 3 factors among the 99 degree-10 irreducibles: 3/99 hits,
+        # and a miss passes for ys = 0 only, so 1/33 + (32/33)/2^10 = 1/32
+        # over 99 * 2^10 = 101 376 verifies
+        assert guess_rate_over_every_key(10, 32) == guess_rate(10, 32) == Fraction(1, 32)
 
     @pytest.mark.parametrize("experiment, exact", [
         (lambda rng: forgery_blind(4, 60_000, rng), blind_rate(4)),

@@ -15,6 +15,9 @@ from aqds.gf2_hash import (
     _is_irreducible_value,
     _mod,
     _mul,
+    _SIEVE_POLYS,
+    _small_residues,
+    _sq,
     decode_poly,
     lfsr_stream,
     poly_is_irreducible,
@@ -161,6 +164,106 @@ class TestIrreducibility:
     def test_count_degree_four(self):
         # 3 irreducibles of degree 4 (exhaustive check over all candidates)
         assert len(all_irreducibles(4)) == 3
+
+    @pytest.mark.parametrize("n, count", [(16, 4080), (17, 7710), (18, 14532)])
+    def test_counts_match_gauss_formula_past_the_sieve(self, n, count):
+        # from degree 16 on the sieve checks every lane up to degree 8, and
+        # from 18 on the ladder takes gcds from d = 9
+        assert sum(poly_is_irreducible(Gf2Poly(v))
+                   for v in range(1 << n, 2 << n)) == count
+
+
+def ben_or(v):
+    """Textbook Ben-Or: a gcd at every step d = 1..deg/2, no sieve."""
+    def gcd(a, b):
+        while b:
+            a, b = b, _mod(a, b)
+        return a
+
+    b = 2
+    for _ in range((v.bit_length() - 1) // 2):
+        b = _mod(_mul(b, b), v)
+        if gcd(b ^ 2, v) != 1:
+            return False
+    return True
+
+
+def random_monic(degree, rng):
+    return 1 << degree | rng.getrandbits(degree)
+
+
+@pytest.fixture(scope="module")
+def small_irreducibles(reducible):
+    """The irreducibles of degree 1 .. 8 in increasing order."""
+    return [v for v in range(2, 1 << 9) if v not in reducible]
+
+
+class TestSmallFactorSieve:
+    """``_is_irreducible_value`` sieves factors of degree <= 8 before its
+    ladder.  All eight degrees of lanes take part from degree 16 on, above
+    the exhaustive checks up to degree 12."""
+
+    def test_one_lane_per_small_irreducible(self, small_irreducibles):
+        assert len(small_irreducibles) == sum(GAUSS_COUNTS[:8]) == 71
+        assert list(_SIEVE_POLYS) == small_irreducibles
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2049), st.integers(0, 2**32))
+    @example(0, 0)  # v = 0
+    @example(2049, 1)
+    def test_every_lane_is_the_residue(self, small_irreducibles, bits, seed):
+        v = Random(seed).getrandbits(bits)
+        lanes = _small_residues(v).to_bytes(len(small_irreducibles), "little")
+        assert list(lanes) == [_mod(v, f) for f in small_irreducibles]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(16, 300), st.integers(0, 2**32))
+    # deg 16 and 17: the sieve alone decides, the ladder takes no gcd
+    @example(16, 0)
+    @example(17, 1)
+    def test_small_factor_times_anything_is_rejected(self, small_irreducibles,
+                                                    degree, seed):
+        # every lane, each with its own g of degree >= 8
+        rng = Random(seed)
+        ladder = _is_irreducible_value.__wrapped__
+        for f in small_irreducibles:
+            v = _mul(f, random_monic(degree - f.bit_length() + 1, rng))
+            assert v.bit_length() - 1 == degree
+            assert not ladder(v)
+            assert not poly_is_irreducible(Gf2Poly(v))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(9, 40), st.integers(9, 40), st.integers(0, 2**32))
+    # deg 19 and 35: only the gcd at d = 9 finds the degree-9 factor; the
+    # ladder stops short of d = 18, which would find it again
+    @example(9, 10, 0)
+    @example(9, 26, 1)
+    @example(40, 40, 2)
+    def test_product_of_two_large_irreducibles_is_rejected(self, df, dg, seed):
+        rng = Random(seed)
+        f, _ = sample_irreducible(df, rng)
+        g, _ = sample_irreducible(dg, rng)
+        v = _mul(f.value, g.value)
+        assert not _is_irreducible_value.__wrapped__(v)
+        assert not poly_is_irreducible(Gf2Poly(v))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(16, 300), st.integers(0, 2**32))
+    @example(16, 0)
+    @example(300, 1)
+    def test_equals_textbook_ben_or(self, degree, seed):
+        # random values keep even weights and even constant terms, which
+        # the callers' parity checks would keep from the ladder
+        v = random_monic(degree, Random(seed))
+        assert _is_irreducible_value.__wrapped__(v) == ben_or(v)
+
+    @pytest.mark.parametrize("n, seed", [(16, 3), (40, 4), (82, 5)])
+    def test_irreducible_draws_pass_the_textbook_test(self, n, seed):
+        # random values are mostly reducible; this checks the other verdict
+        rng = Random(seed)
+        for _ in range(5):
+            p, _ = sample_irreducible(n, rng)
+            assert ben_or(p.value)
 
 
 class TestIrreducibleCache:
@@ -429,6 +532,16 @@ class TestHashProperties:
         hasher, rng = _random_hasher(n, seed)
         msg = BitString.random(m, rng)
         assert hasher.hash(BitString(msg.value, m + extra)) == hasher.hash(msg)
+
+
+class TestSquare:
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 1 << 14), st.integers(0, 2**32))
+    @example(0, 0)  # a = 0
+    @example(1 << 14, 1)
+    def test_equals_product_with_itself(self, bits, seed):
+        a = Random(seed).getrandbits(bits)
+        assert _sq(a) == _mul(a, a)
 
 
 class TestFoldMod:
