@@ -95,10 +95,9 @@ def polynomial_guess_strategy(bundle: SignatureBundle, rng: Random) -> Signature
     guesses = max(1, (m - 1) // n)
     factors: set[int] = set()
     while len(factors) < guesses:
-        p, _ = sample_irreducible(n, rng)
-        factors.add(p.value)
+        factors.add(sample_irreducible(n, rng))
     w = 1
-    for v in sorted(factors):
+    for v in factors:  # the product does not depend on the order
         w = _mul(w, v)
     return SignatureBundle(BitString(bundle.message.value ^ w, m), bundle.signature)
 

@@ -233,19 +233,22 @@ def _is_irreducible_value(v: int) -> bool:
     irreducibility.  The gcds at d <= top = min(_SIEVE_DEG, deg/2) would
     find exactly the factors of degree <= top, so a sieve stands in for
     them: v has one exactly when a lane of ``_small_residues(v)`` up to
-    degree top is zero.  The ladder then starts at b = x^(2^top) mod v.
+    degree top is zero.  Up to degree 17 top = deg/2 and the sieve alone
+    decides; above it the ladder starts at b = x^(2^top) mod v.
 
-    The callers reject the factors x and x + 1 in O(1) first, so the cache
-    holds only values that need the sieve.  A degree-n value that passes
-    both parity checks is one of 2^(n-2), so the 2^15 entries hold the
-    verdicts of any one degree up to 17 without eviction, not of all those
-    degrees together.
+    ``_is_irreducible`` rejects the factors x and x + 1 in O(1) first, so
+    the cache holds only values that need the sieve.  A degree-n value that
+    passes both parity checks is one of 2^(n-2), so the 2^15 entries hold
+    the verdicts of any one degree up to 17 without eviction, not of all
+    those degrees together.
     """
     half = (v.bit_length() - 1) // 2
     top = min(_SIEVE_DEG, half)
     residues = _small_residues(v).to_bytes(len(_SIEVE_POLYS), "little")
     if 0 in residues[:bisect_left(_SIEVE_POLYS, 2 << top)]:
         return False
+    if top == half:
+        return True
     b = _mod(1 << (1 << top), v)
     for _ in range(half - top):
         b = _mod(_sq(b), v)
@@ -262,56 +265,58 @@ def _is_irreducible_value(v: int) -> bool:
     return True
 
 
-def poly_is_irreducible(p: Gf2Poly) -> bool:
-    """Deterministic irreducibility test over GF(2).
+def _is_irreducible(v: int) -> bool:
+    """Is the polynomial v of degree >= 2 irreducible?
 
-    Degree 1 is irreducible.  Above it, p(0) = 0 (a factor x) and p(1) = 0
-    (an even number of terms, a factor x + 1) reject at once; what is left
-    goes to the cached ladder ``_is_irreducible_value``.
+    v(0) = 0 (a factor x) and v(1) = 0 (an even number of terms, a factor
+    x + 1) reject at once; what is left goes to the cached ladder
+    ``_is_irreducible_value``.  The one owner of the parity checks.
     """
-    if p.degree < 1:
-        raise ValueError("zero or constant polynomial has no factorization")
-    if p.degree == 1:
-        return True
-    v = p.value
     if not v & 1 or not v.bit_count() & 1:
-        return False  # p(0) = 0 or p(1) = 0: a factor x or x + 1
+        return False  # v(0) = 0 or v(1) = 0: a factor x or x + 1
     return _is_irreducible_value(v)
 
 
-def decode_poly(r: BitString) -> Gf2Poly | None:
-    """Degree-n polynomial from its n-bit encoding; None when it is reducible.
+def poly_is_irreducible(p: Gf2Poly) -> bool:
+    """Deterministic irreducibility test over GF(2).
+
+    Degree 1 is irreducible; above it the test is ``_is_irreducible``.
+    """
+    if p.degree < 1:
+        raise ValueError("zero or constant polynomial has no factorization")
+    return p.degree == 1 or _is_irreducible(p.value)
+
+
+def decode_poly(r: int, n: int) -> int | None:
+    """Degree-n polynomial value from its n-bit encoding r; None when reducible.
 
     The encoding holds the coefficients of x^0..x^(n-1) and the leading x^n
     coefficient is an implicit 1; a decode that fails the
     irreducibility check signals tampering and the caller must reject.
     """
-    n = r.length
     if n < 2:
         raise ValueError("encoded polynomial needs at least 2 bits")
-    p = Gf2Poly(r.value | (1 << n))
-    return p if poly_is_irreducible(p) else None
+    if not 0 <= r < 1 << n:
+        raise ValueError(f"encoding does not fit in {n} bits")
+    v = r | 1 << n
+    return v if _is_irreducible(v) else None
 
 
-def sample_irreducible(n: int, rng: Random) -> tuple[Gf2Poly, BitString]:
-    """Uniformly random irreducible degree-n polynomial and its n-bit encoding.
+def sample_irreducible(n: int, rng: Random) -> int:
+    """Uniformly random irreducible degree-n polynomial, as its value.
 
     Rejection-samples the n low coefficients until the polynomial (with
-    implicit leading 1) is irreducible, so the draw is uniform over all
-    monic irreducibles of degree n.  Draws are tested as plain integers:
-    the parity checks of ``poly_is_irreducible`` reject about three in four
-    of them, and only the rest reach the cached ladder
-    ``_is_irreducible_value``.  Only the accepted draw becomes a ``Gf2Poly``
-    and a ``BitString``.
+    implicit leading 1, bit n of the value) is irreducible, so the draw is
+    uniform over all monic irreducibles of degree n.  The encoding a
+    signature carries is the value without bit n.
     """
     if n < 2:
         raise ValueError("degree must be at least 2")
     lead = 1 << n
     while True:
-        low = rng.getrandbits(n)
-        v = low | lead
-        if v & 1 and v.bit_count() & 1 and _is_irreducible_value(v):
-            return Gf2Poly(v), BitString(low, n)
+        v = rng.getrandbits(n) | lead
+        if _is_irreducible(v):
+            return v
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +359,11 @@ class LfsrToeplitzHasher:
     to multiplying M by the n x m Toeplitz matrix whose rows are keystream
     windows.
 
-    ``hash`` never materialises the keystream.  Let L be the linear map on
-    polynomials of degree < n with L(x^i) = s_i, i.e. L(a) = parity(a & seed).
-    The recurrence s_{j+n} = sum c_i s_{j+i} is reduction by p, so
-    s_j = L(x^j mod p) for every j, and tag bit i is
+    ``hash`` and its kernel ``_toeplitz_tag`` never materialise the
+    keystream.  Let L be the linear map on polynomials of degree < n with
+    L(x^i) = s_i, i.e. L(a) = parity(a & seed).  The recurrence
+    s_{j+n} = sum c_i s_{j+i} is reduction by p, so s_j = L(x^j mod p) for
+    every j, and tag bit i is
 
         sum_j M_j s_{i+j} = L(x^i * M(x) mod p),   M(x) = sum_j M_j x^j.
 
@@ -382,28 +388,37 @@ class LfsrToeplitzHasher:
         return self.poly.degree
 
     def hash(self, message: BitString) -> BitString:
-        if message.length < 1:
-            raise ValueError("message must be non-empty")
-        n = self.n
-        p = self.poly.value
-        seed = self.seed.value
-        r = _fold_mod(message.value, p)  # R = M(x) mod p
-        # tag bit i = L(x^i R mod p)
-        tag = 0
-        for i in range(n):
-            tag |= ((r & seed).bit_count() & 1) << i
-            r <<= 1
-            if r >> n:
-                r ^= p
-        return BitString(tag, n)
+        return BitString(_toeplitz_tag(self.poly.value, self.seed.value, message),
+                         self.n)
+
+
+def _toeplitz_tag(p: int, seed: int, message: BitString) -> int:
+    """The tag of ``message`` under the irreducible p and the seed, as an int.
+
+    The one hash kernel: ``LfsrToeplitzHasher.hash`` and the protocol's
+    tags call it.  p must be irreducible and the seed must fit in deg p
+    bits; the callers vouch for both.
+    """
+    if message.length < 1:
+        raise ValueError("message must be non-empty")
+    n = p.bit_length() - 1
+    r = _fold_mod(message.value, p)  # R = M(x) mod p
+    # tag bit i = L(x^i R mod p)
+    tag = 0
+    for i in range(n):
+        tag |= ((r & seed).bit_count() & 1) << i
+        r <<= 1
+        if r >> n:
+            r ^= p
+    return tag
 
 
 def toeplitz_oracle(p: Gf2Poly, seed: BitString, msg: BitString) -> BitString:
     """Reference hash by explicit Toeplitz matrix-vector multiply.
 
     Materializes the keystream with a literal per-bit recurrence and the
-    full n x m matrix row by row; deliberately shares no code with
-    ``LfsrToeplitzHasher.hash`` so the two can cross-check each other.
+    full n x m matrix row by row; deliberately shares no code with the hash
+    kernel ``_toeplitz_tag`` so the two can cross-check each other.
     """
     n = p.degree
     if seed.length != n:

@@ -3,9 +3,9 @@
 The signer tags the message with a freshly keyed LFSR-Toeplitz hash, appends
 the polynomial encoding, and one-time-pads the result with the combined
 encryption key.  Receivers and the arbitrator invert the pad with the same
-combined key, rebuild the hasher from the decrypted encoding, and recompute
-the tag; the arbitrator additionally archives each completed round so
-late or forwarded signatures can be checked against it afterwards.
+combined key, decode the polynomial from the decrypted encoding, and
+recompute the tag; the arbitrator additionally archives each completed
+round so late or forwarded signatures can be checked against it afterwards.
 """
 
 from __future__ import annotations
@@ -15,13 +15,7 @@ from enum import Enum
 from random import Random
 from typing import Iterable, Mapping, Sequence
 
-from .gf2_hash import (
-    BitString,
-    Gf2Poly,
-    LfsrToeplitzHasher,
-    decode_poly,
-    sample_irreducible,
-)
+from .gf2_hash import BitString, _toeplitz_tag, decode_poly, sample_irreducible
 from .keymat import KeyBundle, SessionKeys, combine
 
 
@@ -74,16 +68,18 @@ class TagMemo:
     entry: tuple[BitString, int, int, int] | None = None
 
 
-def _tag(poly: Gf2Poly, seed: int, message: BitString,
+def _tag(poly: int, seed: int, message: BitString,
          memo: TagMemo | None = None) -> int:
     """The LFSR-Toeplitz tag of ``message`` under (poly, seed), as an int.
 
-    The one writer of ``memo``: it records the tag after the hasher has
-    accepted the polynomial.
+    The one writer of ``memo``.  It is reached only with a polynomial value
+    from ``sample_irreducible`` or a successful ``decode_poly``, so every
+    entry it records holds an irreducible polynomial and the memo rule of
+    ``accepts`` stays exact without a second irreducibility test.
     """
-    tag = LfsrToeplitzHasher(poly, BitString(seed, poly.degree)).hash(message).value
+    tag = _toeplitz_tag(poly, seed, message)
     if memo is not None:
-        memo.entry = (message, poly.value, seed, tag)
+        memo.entry = (message, poly, seed, tag)
     return tag
 
 
@@ -96,8 +92,8 @@ def sign(message: BitString, sk: SessionKeys, rng: Random,
     if message.length < 1:
         raise ValueError("message must be non-empty")
     n = sk.n
-    poly, r_s = sample_irreducible(n, rng)
-    plain = _tag(poly, sk.ys.value, message, memo) | r_s.value << n
+    poly = sample_irreducible(n, rng)
+    plain = _tag(poly, sk.ys.value, message, memo) | (poly ^ 1 << n) << n
     return SignatureBundle(message, BitString(sk.xs.value ^ plain, 2 * n))
 
 
@@ -118,7 +114,7 @@ def accepts(message: BitString, signature: int, xs: int, ys: int, n: int,
     if (last and last[0] is message and not plain >> 2 * n
             and last[1:3] == (plain >> n | 1 << n, ys)):
         return last[3] == plain & ((1 << n) - 1)
-    poly = decode_poly(BitString(plain >> n, n))
+    poly = decode_poly(plain >> n, n)
     return (poly is not None
             and _tag(poly, ys, message, memo) == plain & ((1 << n) - 1))
 

@@ -137,14 +137,14 @@ def test_c09_hash_equals_oracle():
     for _ in range(10_000):
         n = rng.randint(2, 16)
         m = rng.randint(1, 64)
-        p, _ = sample_irreducible(n, rng)
+        p = Gf2Poly(sample_irreducible(n, rng))
         seed = BitString.random(n, rng)
         msg = BitString.random(m, rng)
         assert LfsrToeplitzHasher(p, seed).hash(msg) == toeplitz_oracle(p, seed, msg)
     for _ in range(10_000):
         n = rng.randint(2, 12)
         m = rng.randint(1, 48)
-        p, _ = sample_irreducible(n, rng)
+        p = Gf2Poly(sample_irreducible(n, rng))
         hasher = LfsrToeplitzHasher(p, BitString.random(n, rng))
         m1, m2 = BitString.random(m, rng), BitString.random(m, rng)
         assert hasher.hash(m1 ^ m2) == hasher.hash(m1) ^ hasher.hash(m2)
@@ -159,7 +159,7 @@ def test_c10_collision_frequency_bound():
     m2 = m1.flip(*rng.sample(range(m), 7))
     collisions = 0
     for _ in range(trials):
-        p, _ = sample_irreducible(n, rng)
+        p = Gf2Poly(sample_irreducible(n, rng))
         hasher = LfsrToeplitzHasher(p, BitString.random(n, rng))
         if hasher.hash(m1) == hasher.hash(m2):
             collisions += 1

@@ -131,9 +131,9 @@ class TestForgeryBlind:
         assert len(accepted) == 1
         winner = BitString(accepted[0], 4)
         tag, r = (sk.xs ^ winner).split(2)
-        poly = decode_poly(r)
+        poly = decode_poly(r.value, 2)
         assert poly is not None
-        assert LfsrToeplitzHasher(poly, sk.ys).hash(message) == tag
+        assert LfsrToeplitzHasher(Gf2Poly(poly), sk.ys).hash(message) == tag
 
 
 class TestForgeryKnownSignature:

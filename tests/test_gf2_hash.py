@@ -241,9 +241,7 @@ class TestSmallFactorSieve:
     @example(40, 40, 2)
     def test_product_of_two_large_irreducibles_is_rejected(self, df, dg, seed):
         rng = Random(seed)
-        f, _ = sample_irreducible(df, rng)
-        g, _ = sample_irreducible(dg, rng)
-        v = _mul(f.value, g.value)
+        v = _mul(sample_irreducible(df, rng), sample_irreducible(dg, rng))
         assert not _is_irreducible_value.__wrapped__(v)
         assert not poly_is_irreducible(Gf2Poly(v))
 
@@ -262,8 +260,7 @@ class TestSmallFactorSieve:
         # random values are mostly reducible; this checks the other verdict
         rng = Random(seed)
         for _ in range(5):
-            p, _ = sample_irreducible(n, rng)
-            assert ben_or(p.value)
+            assert ben_or(sample_irreducible(n, rng))
 
 
 class TestIrreducibleCache:
@@ -272,7 +269,7 @@ class TestIrreducibleCache:
     @pytest.mark.parametrize("n, seed", [(16, 13), (82, 5)])
     def test_sampler_caches_only_parity_survivors(self, n, seed):
         _is_irreducible_value.cache_clear()
-        p, _ = sample_irreducible(n, Random(seed))
+        p = sample_irreducible(n, Random(seed))
         # replay the draws up to the accepted one (an irreducible draw is
         # accepted the first time it comes up) and keep those with an odd
         # constant term and an odd weight
@@ -281,7 +278,7 @@ class TestIrreducibleCache:
             v = rng.getrandbits(n) | 1 << n
             if v & 1 and v.bit_count() & 1:
                 survivors.add(v)
-            if v == p.value:
+            if v == p:
                 break
         assert _is_irreducible_value.cache_info().currsize == len(survivors)
 
@@ -290,7 +287,7 @@ class TestIrreducibleCache:
         pinned = {10: 0x4ed, 44: 0x16c4f821daf1, 82: 0x40a9a332779f130084a4b}
         _is_irreducible_value.cache_clear()
         for n, value in pinned.items():
-            assert sample_irreducible(n, Random(2718))[0].value == value
+            assert sample_irreducible(n, Random(2718)) == value
 
     def test_degree_sixteen_sweep_fits_and_hits(self):
         # 2^14 of the 2^16 monic degree-16 values pass the parity checks,
@@ -310,33 +307,63 @@ class TestSampleDecode:
     def test_degree_two_unique(self):
         rng = Random(123)
         for _ in range(20):
-            p, enc = sample_irreducible(2, rng)
-            assert p == X2_X_1
-            assert list(enc) == [1, 1]
+            assert sample_irreducible(2, rng) == X2_X_1.value
 
     def test_encode_decode_roundtrip(self):
         rng = Random(7)
         for _ in range(1000):
-            p, enc = sample_irreducible(16, rng)
-            assert enc == BitString(p.value ^ 1 << 16, 16)
-            assert decode_poly(enc) == p
+            p = sample_irreducible(16, rng)
+            assert decode_poly(p ^ 1 << 16, 16) == p
 
     def test_sampled_always_irreducible(self):
         rng = Random(11)
         for n in (2, 3, 5, 8, 13):
-            p, _ = sample_irreducible(n, rng)
+            p = Gf2Poly(sample_irreducible(n, rng))
             assert poly_is_irreducible(p) and p.degree == n
 
     def test_decode_rejects_reducible(self):
         # bits (0, 1) encode x^2 + x = x(x+1)
-        assert decode_poly(BitString.from_bits([0, 1])) is None
+        assert decode_poly(0b10, 2) is None
 
     def test_decode_accepts_irreducible(self):
-        assert decode_poly(BitString.from_bits([1, 1])) == X2_X_1
+        assert decode_poly(0b11, 2) == X2_X_1.value
 
     def test_rejects_small_degree(self):
         with pytest.raises(ValueError):
             sample_irreducible(1, Random(0))
+
+    def test_decode_checks_its_arguments(self):
+        for r, n in ((0, 1), (1, 0), (0, -1), (1 << 4, 4), (-1, 4)):
+            with pytest.raises(ValueError):
+                decode_poly(r, n)
+
+    def test_decode_equals_object_test_exhaustive(self, reducible):
+        # every n-bit encoding for n <= 10, against the object test and the
+        # trial-division sieve
+        for n in range(2, 11):
+            for r in range(1 << n):
+                v = r | 1 << n
+                want = v if poly_is_irreducible(Gf2Poly(v)) else None
+                assert decode_poly(r, n) == want
+                assert (want is None) == (v in reducible)
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 16, 44, 82])
+    def test_draws_equal_the_object_loop(self, n):
+        # the object loop the int sampler replaced: one Gf2Poly per draw
+        # through the public test, the accepted draw with its encoding
+        def object_loop(n, rng):
+            while True:
+                low = rng.getrandbits(n)
+                p = Gf2Poly(low | 1 << n)
+                if poly_is_irreducible(p):
+                    return p, BitString(low, n)
+
+        for seed in range(20):
+            ints, objects = Random(seed), Random(seed)
+            v = sample_irreducible(n, ints)
+            p, enc = object_loop(n, objects)
+            assert v == p.value and v ^ 1 << n == enc.value
+            assert ints.getstate() == objects.getstate()
 
     def test_sampling_uniform_over_irreducibles(self):
         # every degree-3 irreducible (x^3+x+1, x^3+x^2+1) appears about
@@ -345,8 +372,8 @@ class TestSampleDecode:
         counts = {}
         trials = 4000
         for _ in range(trials):
-            p, _ = sample_irreducible(3, rng)
-            counts[p.value] = counts.get(p.value, 0) + 1
+            p = sample_irreducible(3, rng)
+            counts[p] = counts.get(p, 0) + 1
         assert set(counts) == {0b1011, 0b1101}
         for c in counts.values():
             assert abs(c - trials / 2) < 3 * math.sqrt(trials * 0.25)
@@ -369,7 +396,7 @@ class TestLfsrStream:
 
     def test_prefix_property(self):
         rng = Random(3)
-        p, _ = sample_irreducible(6, rng)
+        p = Gf2Poly(sample_irreducible(6, rng))
         seed = BitString.random(6, rng)
         long = lfsr_stream(p, seed, 50)
         for count in (0, 3, 6, 20):
@@ -384,7 +411,7 @@ class TestLfsrStream:
     def test_period_divides_order(self, n):
         # cycle detection: walk states until the initial window recurs
         rng = Random(n)
-        p, _ = sample_irreducible(n, rng)
+        p = Gf2Poly(sample_irreducible(n, rng))
         seed = BitString(rng.getrandbits(n) or 1, n)
         stream = lfsr_stream(p, seed, n + 2 ** n)
         first = window(stream, 0, n)
@@ -400,7 +427,7 @@ class TestLfsrStream:
     @given(st.integers(2, 40), st.integers(0, 400), st.integers(0, 2**32))
     def test_matches_literal_recurrence(self, n, count, seed):
         rng = Random(seed)
-        p, _ = sample_irreducible(n, rng)
+        p = Gf2Poly(sample_irreducible(n, rng))
         key = BitString.random(n, rng)
         s = list(key)[:count]
         while len(s) < count:
@@ -443,7 +470,7 @@ class TestHash:
 
     def test_single_bit_message_extracts_window(self):
         rng = Random(5)
-        p, _ = sample_irreducible(6, rng)
+        p = Gf2Poly(sample_irreducible(6, rng))
         seed = BitString.random(6, rng)
         stream = lfsr_stream(p, seed, 6 + 15)
         for j in range(16):
@@ -453,7 +480,7 @@ class TestHash:
 
     def test_matches_oracle_exhaustive_n4_m4(self):
         rng = Random(17)
-        p, _ = sample_irreducible(4, rng)
+        p = Gf2Poly(sample_irreducible(4, rng))
         seed = BitString.random(4, rng)
         hasher = LfsrToeplitzHasher(p, seed)
         for v in range(16):
@@ -465,7 +492,7 @@ class TestHash:
         for _ in range(2000):
             n = rng.randint(2, 16)
             m = rng.randint(1, 64)
-            p, _ = sample_irreducible(n, rng)
+            p = Gf2Poly(sample_irreducible(n, rng))
             seed = BitString.random(n, rng)
             msg = BitString.random(m, rng)
             assert LfsrToeplitzHasher(p, seed).hash(msg) == \
@@ -475,7 +502,7 @@ class TestHash:
     @given(st.integers(2, 12), st.integers(1, 48), st.integers(0, 2**32))
     def test_linearity(self, n, m, seed):
         rng = Random(seed)
-        p, _ = sample_irreducible(n, rng)
+        p = Gf2Poly(sample_irreducible(n, rng))
         seed = BitString.random(n, rng)
         hasher = LfsrToeplitzHasher(p, seed)
         m1 = BitString.random(m, rng)
@@ -485,7 +512,7 @@ class TestHash:
 
 def _random_hasher(n, seed):
     rng = Random(seed)
-    p, _ = sample_irreducible(n, rng)
+    p = Gf2Poly(sample_irreducible(n, rng))
     return LfsrToeplitzHasher(p, BitString.random(n, rng)), rng
 
 
@@ -608,7 +635,7 @@ class TestCollisionBound:
         m2 = m1.flip(*rng.sample(range(m), 5))
         collisions = 0
         for _ in range(trials):
-            p, _ = sample_irreducible(n, rng)
+            p = Gf2Poly(sample_irreducible(n, rng))
             hasher = LfsrToeplitzHasher(p, BitString.random(n, rng))
             if hasher.hash(m1) == hasher.hash(m2):
                 collisions += 1
@@ -629,7 +656,7 @@ class TestCollisionBound:
         m2 = m1 ^ BitString(w, m)
         collisions = 0
         for _ in range(trials):
-            p, _ = sample_irreducible(n, rng)
+            p = Gf2Poly(sample_irreducible(n, rng))
             hasher = LfsrToeplitzHasher(p, BitString.random(n, rng))
             if hasher.hash(m1) == hasher.hash(m2):
                 collisions += 1

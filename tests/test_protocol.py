@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aqds import protocol
+from aqds.adversary import forgery_known_signature
 from aqds.gf2_hash import (
     BitString,
     Gf2Poly,
@@ -57,10 +58,10 @@ class TestSign:
         replay = Random(0)  # honest_setup's draws, up to the one sign makes
         distribute_keys(12, 3, replay)
         BitString.random(40, replay)
-        poly, r_s = sample_irreducible(12, replay)
+        poly = sample_irreducible(12, replay)
         tag, r = (sk.xs ^ bundle.signature).split(12)
-        assert r == r_s
-        assert tag == LfsrToeplitzHasher(poly, sk.ys).hash(bundle.message)
+        assert r == BitString(poly ^ 1 << 12, 12)
+        assert tag == LfsrToeplitzHasher(Gf2Poly(poly), sk.ys).hash(bundle.message)
 
     def test_fresh_randomizer_per_signature(self):
         rng = Random(8)
@@ -238,7 +239,7 @@ class TestTimeoutForwardVerify:
 def signed_tag(bundle, sk):
     """The tag and polynomial a signature carries under ``sk``."""
     tag, r = (sk.xs ^ bundle.signature).split(sk.n)
-    return tag, decode_poly(r)
+    return tag, Gf2Poly(decode_poly(r.value, sk.n))
 
 
 # one step: (action, message 0-3, key set 0-2, signature bit to flip or None)
@@ -333,7 +334,7 @@ class TestVerifyOffTheMemo:
         memo = TagMemo()
         decodes = []
         monkeypatch.setattr(protocol, "decode_poly",
-                            lambda r: decodes.append(r) or decode_poly(r))
+                            lambda r, n: decodes.append(r) or decode_poly(r, n))
         for bit in range(2 * sk.n):
             assert receiver_verify(bundle, sk, memo) is A  # the memo holds the bundle
             forged = SignatureBundle(bundle.message, bundle.signature.flip(bit))
@@ -354,6 +355,75 @@ class TestVerifyOffTheMemo:
         with pytest.raises(ValueError):
             protocol.accepts(bundle.message, wide, sk.xs.value, sk.ys.value, sk.n,
                              memo)
+
+
+def oracle_accepts(message, signature, xs, ys, n):
+    """The verdict by the object test and the explicit-matrix hash."""
+    plain = xs ^ signature
+    poly = Gf2Poly(plain >> n | 1 << n)
+    return (poly_is_irreducible(poly)
+            and toeplitz_oracle(poly, BitString(ys, n), message)
+            == BitString(plain & ((1 << n) - 1), n))
+
+
+class TestAcceptsEqualsOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 64), st.integers(1, 96), st.integers(0, 2**32),
+           st.sampled_from(("genuine", "flipped", "random")))
+    def test_verdict_with_and_without_memo(self, n, m, seed, kind):
+        rng = Random(seed)
+        sk = SessionKeys(BitString.random(2 * n, rng), BitString.random(n, rng))
+        message = BitString.random(m, rng)
+        memo = TagMemo()
+        signature = sign(message, sk, rng, memo).signature.value
+        if kind == "flipped":
+            signature ^= 1 << rng.randrange(2 * n)
+        elif kind == "random":
+            signature = rng.getrandbits(2 * n)
+        xs, ys = sk.xs.value, sk.ys.value
+        want = oracle_accepts(message, signature, xs, ys, n)
+        assert want or kind != "genuine"
+        assert protocol.accepts(message, signature, xs, ys, n) == want
+        assert protocol.accepts(message, signature, xs, ys, n, memo) == want
+
+    @pytest.mark.parametrize("n", [1, 0])
+    def test_degree_below_two_raises(self, n):
+        with pytest.raises(ValueError):
+            protocol.accepts(BitString(1, 8), 0, 0, 0, n)
+
+    def test_signature_wider_than_2n_bits_raises_on_a_memo_miss(self):
+        _, _, _, sk, bundle = honest_setup(n=16)
+        wide = bundle.signature.value | 1 << 2 * sk.n
+        for memo in (None, TagMemo()):
+            with pytest.raises(ValueError):
+                protocol.accepts(bundle.message, wide, sk.xs.value, sk.ys.value,
+                                 sk.n, memo)
+
+    def test_empty_message_raises_once_the_encoding_decodes(self):
+        # x^2 + x + 1 decodes, x^2 does not: the check sits in the hash
+        empty = BitString(0, 0)
+        for memo in (None, TagMemo()):
+            with pytest.raises(ValueError):
+                protocol.accepts(empty, 0b1100, 0, 0, 2, memo)
+            assert protocol.accepts(empty, 0b0000, 0, 0, 2, memo) is False
+
+
+class TestIntTagPath:
+    def test_attack_trials_and_rounds_build_no_polynomial_or_hasher(self,
+                                                                    monkeypatch):
+        built = []
+        for cls in (Gf2Poly, LfsrToeplitzHasher):
+            post_init = cls.__post_init__
+            monkeypatch.setattr(cls, "__post_init__",
+                                lambda self, post_init=post_init:
+                                built.append(type(self)) or post_init(self))
+        assert Gf2Poly(0b111).degree == 2 and built == [Gf2Poly]  # counting works
+        built.clear()
+        forgery_known_signature(10, 32, 50, Random(1))
+        t = run_round(Topology.fully_connected(3), SecurityParams.for_n(16, 64, 3),
+                      seed=1)
+        assert set(t.outcomes.values()) == {A}
+        assert built == []
 
 
 class TestIntCoreExhaustive:
