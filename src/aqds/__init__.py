@@ -10,12 +10,9 @@ INI reader and ``ConfigurationError``), ``cli``.
 
 from .gf2_hash import (
     BitString,
-    Gf2Poly,
-    LfsrToeplitzHasher,
     decode_poly,
     poly_is_irreducible,
     sample_irreducible,
-    toeplitz_oracle,
 )
 from .keymat import (
     KeyBundle,
@@ -38,8 +35,7 @@ from .protocol import (
 )
 
 __all__ = [
-    "BitString", "Gf2Poly", "LfsrToeplitzHasher", "decode_poly",
-    "poly_is_irreducible", "sample_irreducible", "toeplitz_oracle",
+    "BitString", "decode_poly", "poly_is_irreducible", "sample_irreducible",
     "KeyBundle", "SecurityParams", "SessionKeys", "combine", "distribute_keys",
     "required_n", "total_consumption",
     "ForwardPacket", "RoundRecord", "SignatureBundle", "VerificationOutcome",

@@ -17,7 +17,6 @@ from functools import lru_cache, reduce
 from itertools import compress
 from operator import xor
 from random import Random
-from typing import Iterator
 
 
 # ---------------------------------------------------------------------------
@@ -42,16 +41,6 @@ class BitString:
             raise ValueError(f"value does not fit in {self.length} bits")
 
     @classmethod
-    def from_bits(cls, bits) -> BitString:
-        bits = list(bits)
-        value = 0
-        for j, b in enumerate(bits):
-            if b not in (0, 1):
-                raise ValueError("bits must be 0 or 1")
-            value |= b << j
-        return cls(value, len(bits))
-
-    @classmethod
     def random(cls, length: int, rng: Random) -> BitString:
         return cls(rng.getrandbits(length) if length else 0, length)
 
@@ -69,17 +58,6 @@ class BitString:
 
     def to_hex(self) -> str:
         return self.to_bytes().hex()
-
-    def __len__(self) -> int:
-        return self.length
-
-    def __iter__(self) -> Iterator[int]:
-        return ((self.value >> j) & 1 for j in range(self.length))
-
-    def __getitem__(self, j: int) -> int:
-        if not 0 <= j < self.length:
-            raise IndexError("bit index out of range")
-        return (self.value >> j) & 1
 
     def __xor__(self, other: BitString) -> BitString:
         if self.length != other.length:
@@ -179,9 +157,6 @@ class Gf2Poly:
         """Degree of the polynomial (-1 for the zero polynomial)."""
         return self.value.bit_length() - 1
 
-    def coeff(self, i: int) -> int:
-        return (self.value >> i) & 1 if i >= 0 else 0
-
 
 # The small-factor sieve: lane j of a packed residue, bits 8j .. 8j + 7,
 # holds a value mod _SIEVE_POLYS[j].  These are the irreducibles of degree 1
@@ -236,11 +211,11 @@ def _is_irreducible_value(v: int) -> bool:
     degree top is zero.  Up to degree 17 top = deg/2 and the sieve alone
     decides; above it the ladder starts at b = x^(2^top) mod v.
 
-    ``_is_irreducible`` rejects the factors x and x + 1 in O(1) first, so
-    the cache holds only values that need the sieve.  A degree-n value that
-    passes both parity checks is one of 2^(n-2), so the 2^15 entries hold
-    the verdicts of any one degree up to 17 without eviction, not of all
-    those degrees together.
+    ``poly_is_irreducible``, the sampler's and decoder's one test, rejects
+    the factors x and x + 1 in O(1) first, so the cache holds only values
+    that need the sieve.  A degree-n value that passes both parity checks
+    is one of 2^(n-2), so the 2^15 entries hold the verdicts of any one
+    degree up to 17 without eviction, not of all those degrees together.
     """
     half = (v.bit_length() - 1) // 2
     top = min(_SIEVE_DEG, half)
@@ -265,26 +240,18 @@ def _is_irreducible_value(v: int) -> bool:
     return True
 
 
-def _is_irreducible(v: int) -> bool:
+def poly_is_irreducible(v: int) -> bool:
     """Is the polynomial v of degree >= 2 irreducible?
 
     v(0) = 0 (a factor x) and v(1) = 0 (an even number of terms, a factor
     x + 1) reject at once; what is left goes to the cached ladder
-    ``_is_irreducible_value``.  The one owner of the parity checks.
+    ``_is_irreducible_value``.  The one irreducibility test, and the one
+    owner of the parity checks.  Below degree 2 the parity checks are
+    wrong (they reject x and x + 1), so callers keep to degree >= 2.
     """
     if not v & 1 or not v.bit_count() & 1:
         return False  # v(0) = 0 or v(1) = 0: a factor x or x + 1
     return _is_irreducible_value(v)
-
-
-def poly_is_irreducible(p: Gf2Poly) -> bool:
-    """Deterministic irreducibility test over GF(2).
-
-    Degree 1 is irreducible; above it the test is ``_is_irreducible``.
-    """
-    if p.degree < 1:
-        raise ValueError("zero or constant polynomial has no factorization")
-    return p.degree == 1 or _is_irreducible(p.value)
 
 
 def decode_poly(r: int, n: int) -> int | None:
@@ -299,7 +266,7 @@ def decode_poly(r: int, n: int) -> int | None:
     if not 0 <= r < 1 << n:
         raise ValueError(f"encoding does not fit in {n} bits")
     v = r | 1 << n
-    return v if _is_irreducible(v) else None
+    return v if poly_is_irreducible(v) else None
 
 
 def sample_irreducible(n: int, rng: Random) -> int:
@@ -315,7 +282,7 @@ def sample_irreducible(n: int, rng: Random) -> int:
     lead = 1 << n
     while True:
         v = rng.getrandbits(n) | lead
-        if _is_irreducible(v):
+        if poly_is_irreducible(v):
             return v
 
 
@@ -378,9 +345,13 @@ class LfsrToeplitzHasher:
     seed: BitString
 
     def __post_init__(self) -> None:
-        if not poly_is_irreducible(self.poly):
+        n = self.poly.degree
+        if n < 1:
+            raise ValueError("zero or constant polynomial has no factorization")
+        # x and x + 1 are irreducible; the int test starts at degree 2
+        if n > 1 and not poly_is_irreducible(self.poly.value):
             raise ValueError("hasher polynomial must be irreducible")
-        if self.seed.length != self.poly.degree:
+        if self.seed.length != n:
             raise ValueError("seed length must equal the polynomial degree")
 
     @property
@@ -416,9 +387,10 @@ def _toeplitz_tag(p: int, seed: int, message: BitString) -> int:
 def toeplitz_oracle(p: Gf2Poly, seed: BitString, msg: BitString) -> BitString:
     """Reference hash by explicit Toeplitz matrix-vector multiply.
 
-    Materializes the keystream with a literal per-bit recurrence and the
-    full n x m matrix row by row; deliberately shares no code with the hash
-    kernel ``_toeplitz_tag`` so the two can cross-check each other.
+    Materializes the keystream s_0 .. s_{m+n-2} (bit j of an int) with a
+    literal per-bit recurrence, then takes each tag bit as the parity of
+    one matrix row ANDed with the message; deliberately shares no code with
+    the hash kernel ``_toeplitz_tag`` so the two can cross-check each other.
     """
     n = p.degree
     if seed.length != n:
@@ -426,14 +398,11 @@ def toeplitz_oracle(p: Gf2Poly, seed: BitString, msg: BitString) -> BitString:
     m = msg.length
     if m < 1:
         raise ValueError("message must be non-empty")
-    taps = [p.coeff(i) for i in range(n)]
-    s = list(seed)
-    while len(s) < m + n - 1:
-        j = len(s) - n
-        s.append(sum(taps[i] * s[j + i] for i in range(n)) % 2)
-    msg_bits = list(msg)
-    tag = []
-    for i in range(n):
-        row = s[i:i + m]  # row i of the matrix: (s_i, ..., s_{i+m-1})
-        tag.append(sum(r * b for r, b in zip(row, msg_bits)) % 2)
-    return BitString.from_bits(tag)
+    taps = p.value & ((1 << n) - 1)  # c_0 .. c_{n-1}
+    s = seed.value
+    for j in range(m - 1):  # s_{j+n} = sum_i c_i s_{j+i}
+        s |= (((s >> j) & taps).bit_count() & 1) << (j + n)
+    tag = 0
+    for i in range(n):  # row i of the matrix: (s_i, ..., s_{i+m-1})
+        tag |= (((s >> i) & msg.value).bit_count() & 1) << i
+    return BitString(tag, n)

@@ -23,6 +23,7 @@ from aqds.gf2_hash import (
     BitString,
     Gf2Poly,
     LfsrToeplitzHasher,
+    _mod,
     decode_poly,
     poly_is_irreducible,
 )
@@ -70,7 +71,7 @@ def guess_rate_over_every_key(n: int, m: int) -> Fraction:
     rng = Random(12)
     message = BitString.random(m, rng)
     xs = BitString.random(2 * n, rng)
-    polys = [p for p in map(Gf2Poly, range(1 << n, 2 << n)) if poly_is_irreducible(p)]
+    polys = [Gf2Poly(v) for v in range(1 << n, 2 << n) if poly_is_irreducible(v)]
     accepted = 0
     for p in polys:
         for ys in (BitString(v, n) for v in range(1 << n)):
@@ -198,8 +199,9 @@ class TestForgeryKnownSignature:
 
 class TestExactForgeryRates:
     def test_irreducible_count_matches_enumeration(self):
+        # trial division: no divisor of degree 1 .. n/2
         for n in range(1, 11):
-            count = sum(poly_is_irreducible(Gf2Poly(v))
+            count = sum(all(_mod(v, d) for d in range(2, 2 << n // 2))
                         for v in range(1 << n, 1 << (n + 1)))
             assert irreducible_count(n) == count
 
@@ -267,6 +269,27 @@ class TestDrawOrder:
     def test_counts_pinned(self, experiment, counts):
         res = experiment()
         assert (res.trials, res.successes, res.applicable) == counts
+
+
+class TestAttackPassSeedSweep:
+    def test_every_seed_stays_within_bounds(self):
+        # the five experiments of one benchmark attack pass at its shapes,
+        # on one rng per seed as the pass draws them
+        robust_top = Topology.fully_connected(6)
+        robust_sec = SecurityParams.for_n(32, 64, 6)
+        repud_top = Topology.fully_connected(3)
+        repud_sec = SecurityParams.for_n(16, 64, 3)
+        for seed in range(20):
+            rng = Random(seed)
+            results = (
+                forgery_blind(8, 100, rng),
+                forgery_known_signature(10, 32, 100, rng, known_keys=1),
+                forgery_known_signature(10, 32, 100, rng, known_keys=6),
+                robustness_experiment(robust_top, 2, rng, security=robust_sec),
+                repudiation_experiment(repud_top, 2, rng, security=repud_sec),
+            )
+            assert all(res.within_bound for res in results), (seed, results)
+            assert results[3].successes == results[4].successes == 0, seed
 
 
 class TestRepudiation:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from aqds import gf2_hash
 from aqds.gf2_hash import (
     BitString,
     Gf2Poly,
@@ -33,9 +34,19 @@ def window(bits, start, width):
     return BitString(bits.value >> start & ((1 << width) - 1), width)
 
 
+def from_bits(bits):
+    """The bit string whose j-th transmitted bit is ``bits[j]``."""
+    return BitString(sum(b << j for j, b in enumerate(bits)), len(bits))
+
+
+def bits_of(b):
+    """The bits of ``b`` in transmission order."""
+    return [(b.value >> j) & 1 for j in range(b.length)]
+
+
 def all_irreducibles(n):
-    return [Gf2Poly(v) for v in range(1 << n, 1 << (n + 1))
-            if poly_is_irreducible(Gf2Poly(v))]
+    """The degree-n irreducibles, n >= 2, as values."""
+    return [v for v in range(1 << n, 1 << (n + 1)) if poly_is_irreducible(v)]
 
 
 # ---------------------------------------------------------------------------
@@ -51,19 +62,19 @@ class TestBitString:
 
     def test_msb_first_per_byte(self):
         # bit 0 maps to the high bit of the first byte
-        assert BitString.from_bits([1, 0, 0, 0, 0, 0, 0, 0]).to_hex() == "80"
-        assert BitString.from_bits([0, 0, 0, 0, 0, 0, 0, 1]).to_hex() == "01"
-        assert BitString.from_bits([1, 1]).to_hex() == "c0"
+        assert from_bits([1, 0, 0, 0, 0, 0, 0, 0]).to_hex() == "80"
+        assert from_bits([0, 0, 0, 0, 0, 0, 0, 1]).to_hex() == "01"
+        assert from_bits([1, 1]).to_hex() == "c0"
 
     def test_xor_requires_equal_length(self):
         with pytest.raises(ValueError):
             BitString(0, 4) ^ BitString(0, 5)
 
     def test_concat_and_split(self):
-        a = BitString.from_bits([1, 0, 1])
-        b = BitString.from_bits([0, 1])
+        a = from_bits([1, 0, 1])
+        b = from_bits([0, 1])
         joined = BitString(a.value | b.value << 3, 5)
-        assert list(joined) == [1, 0, 1, 0, 1]
+        assert bits_of(joined) == [1, 0, 1, 0, 1]
         first, rest = joined.split(3)
         assert first == a and rest == b
         assert joined.split(0) == (BitString(0, 0), joined)
@@ -72,11 +83,10 @@ class TestBitString:
             joined.split(6)
 
     def test_indexing_and_flip(self):
-        b = BitString.from_bits([0, 1, 1, 0])
-        assert b[1] == 1 and b[3] == 0
-        assert list(b.flip(0, 3)) == [1, 1, 1, 1]
-        with pytest.raises(IndexError):
-            b[4]
+        b = from_bits([0, 1, 1, 0])
+        assert bits_of(b.flip(0, 3)) == [1, 1, 1, 1]
+        with pytest.raises(ValueError):
+            b.flip(4)
 
     def test_value_must_fit(self):
         with pytest.raises(ValueError):
@@ -97,7 +107,8 @@ class TestBitString:
         assert BitString.from_hex(text, length) == b
         # bit j is the (j mod 8)-th most significant bit of byte j // 8
         raw = bytes.fromhex(text)
-        assert all((raw[j >> 3] >> (7 - (j & 7))) & 1 == b[j] for j in range(length))
+        assert all((raw[j >> 3] >> (7 - (j & 7))) & 1 == (b.value >> j) & 1
+                   for j in range(length))
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 300).filter(lambda n: n % 8), st.data())
@@ -131,27 +142,29 @@ def reducible():
 
 class TestIrreducibility:
     def test_degree_two(self):
-        assert poly_is_irreducible(X2_X_1)
-        assert not poly_is_irreducible(Gf2Poly(0b101))  # x^2+1 = (x+1)^2
+        assert poly_is_irreducible(X2_X_1.value)
+        assert not poly_is_irreducible(0b101)  # x^2+1 = (x+1)^2
 
     def test_rejects_constants(self):
+        # the hasher owns the contract below degree 2
         with pytest.raises(ValueError):
-            poly_is_irreducible(Gf2Poly(1))
+            LfsrToeplitzHasher(Gf2Poly(1), BitString(0, 0))
         with pytest.raises(ValueError):
-            poly_is_irreducible(Gf2Poly(0))
+            LfsrToeplitzHasher(Gf2Poly(0), BitString(0, 0))
 
     def test_degree_one_irreducible(self):
-        assert poly_is_irreducible(Gf2Poly(0b10))
-        assert poly_is_irreducible(Gf2Poly(0b11))
+        assert LfsrToeplitzHasher(Gf2Poly(0b10), BitString(1, 1)).n == 1
+        assert LfsrToeplitzHasher(Gf2Poly(0b11), BitString(1, 1)).n == 1
 
     def test_against_trial_division(self, reducible):
-        # independent oracle over every monic polynomial of degree 1 .. 12
-        for v in range(2, 1 << (MAX_DEGREE + 1)):
-            assert poly_is_irreducible(Gf2Poly(v)) == (v not in reducible)
+        # independent oracle over every monic polynomial of degree 2 .. 12,
+        # the test's domain
+        for v in range(4, 1 << (MAX_DEGREE + 1)):
+            assert poly_is_irreducible(v) == (v not in reducible)
 
     def test_counts_match_gauss_formula(self):
-        counts = tuple(len(all_irreducibles(n)) for n in range(1, MAX_DEGREE + 1))
-        assert counts == GAUSS_COUNTS
+        counts = tuple(len(all_irreducibles(n)) for n in range(2, MAX_DEGREE + 1))
+        assert counts == GAUSS_COUNTS[1:]
 
     def test_ladder_alone_is_exact(self, reducible):
         # the uncached ladder without the parity shortcuts of its callers:
@@ -169,8 +182,7 @@ class TestIrreducibility:
     def test_counts_match_gauss_formula_past_the_sieve(self, n, count):
         # from degree 16 on the sieve checks every lane up to degree 8, and
         # from 18 on the ladder takes gcds from d = 9
-        assert sum(poly_is_irreducible(Gf2Poly(v))
-                   for v in range(1 << n, 2 << n)) == count
+        assert sum(poly_is_irreducible(v) for v in range(1 << n, 2 << n)) == count
 
 
 def ben_or(v):
@@ -230,7 +242,7 @@ class TestSmallFactorSieve:
             v = _mul(f, random_monic(degree - f.bit_length() + 1, rng))
             assert v.bit_length() - 1 == degree
             assert not ladder(v)
-            assert not poly_is_irreducible(Gf2Poly(v))
+            assert not poly_is_irreducible(v)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(9, 40), st.integers(9, 40), st.integers(0, 2**32))
@@ -243,7 +255,7 @@ class TestSmallFactorSieve:
         rng = Random(seed)
         v = _mul(sample_irreducible(df, rng), sample_irreducible(dg, rng))
         assert not _is_irreducible_value.__wrapped__(v)
-        assert not poly_is_irreducible(Gf2Poly(v))
+        assert not poly_is_irreducible(v)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(16, 300), st.integers(0, 2**32))
@@ -293,11 +305,11 @@ class TestIrreducibleCache:
         # 2^14 of the 2^16 monic degree-16 values pass the parity checks,
         # well under the cap, so a second sweep never runs the ladder
         _is_irreducible_value.cache_clear()
-        sweep = [Gf2Poly(v) for v in range(1 << 16, 1 << 17)]
-        first = [poly_is_irreducible(p) for p in sweep]
+        sweep = range(1 << 16, 1 << 17)
+        first = [poly_is_irreducible(v) for v in sweep]
         info = _is_irreducible_value.cache_info()
         assert info.currsize <= 1 << 14
-        assert [poly_is_irreducible(p) for p in sweep] == first
+        assert [poly_is_irreducible(v) for v in sweep] == first
         again = _is_irreducible_value.cache_info()
         assert again.misses == info.misses
         assert again.hits - info.hits == info.currsize
@@ -318,8 +330,8 @@ class TestSampleDecode:
     def test_sampled_always_irreducible(self):
         rng = Random(11)
         for n in (2, 3, 5, 8, 13):
-            p = Gf2Poly(sample_irreducible(n, rng))
-            assert poly_is_irreducible(p) and p.degree == n
+            v = sample_irreducible(n, rng)
+            assert ben_or(v) and v.bit_length() - 1 == n
 
     def test_decode_rejects_reducible(self):
         # bits (0, 1) encode x^2 + x = x(x+1)
@@ -338,24 +350,23 @@ class TestSampleDecode:
                 decode_poly(r, n)
 
     def test_decode_equals_object_test_exhaustive(self, reducible):
-        # every n-bit encoding for n <= 10, against the object test and the
-        # trial-division sieve
+        # every n-bit encoding for n <= 10, against the trial-division sieve
         for n in range(2, 11):
             for r in range(1 << n):
                 v = r | 1 << n
-                want = v if poly_is_irreducible(Gf2Poly(v)) else None
+                want = None if v in reducible else v
                 assert decode_poly(r, n) == want
-                assert (want is None) == (v in reducible)
 
     @pytest.mark.parametrize("n", [2, 3, 10, 16, 44, 82])
     def test_draws_equal_the_object_loop(self, n):
-        # the object loop the int sampler replaced: one Gf2Poly per draw
-        # through the public test, the accepted draw with its encoding
+        # the object loop the int sampler replaced, with the textbook test
+        # in place of the sampler's: one Gf2Poly per draw, the accepted
+        # draw with its encoding
         def object_loop(n, rng):
             while True:
                 low = rng.getrandbits(n)
                 p = Gf2Poly(low | 1 << n)
-                if poly_is_irreducible(p):
+                if ben_or(p.value):
                     return p, BitString(low, n)
 
         for seed in range(20):
@@ -379,6 +390,37 @@ class TestSampleDecode:
             assert abs(c - trials / 2) < 3 * math.sqrt(trials * 0.25)
 
 
+class TestIrreducibilityRouting:
+    """Every sampler draw and every decode runs ``poly_is_irreducible``, the
+    name the benchmark's tracer counts as irreducibility tests and draws."""
+
+    @pytest.fixture
+    def tested(self, monkeypatch):
+        tested = []
+        test = gf2_hash.poly_is_irreducible
+        monkeypatch.setattr(gf2_hash, "poly_is_irreducible",
+                            lambda v: tested.append(v) or test(v))
+        return tested
+
+    @pytest.mark.parametrize("n", [2, 10, 44])
+    def test_sampler_tests_each_draw_once(self, tested, n):
+        draws = []
+
+        class Recording(Random):
+            def getrandbits(self, k):
+                draws.append(super().getrandbits(k))
+                return draws[-1]
+
+        v = sample_irreducible(n, Recording(n))
+        assert tested == [d | 1 << n for d in draws]
+        assert tested[-1] == v
+
+    def test_decode_tests_once_per_call(self, tested):
+        verdicts = [decode_poly(r, 4) for r in range(16)]
+        assert tested == [r | 1 << 4 for r in range(16)]
+        assert sum(v is not None for v in verdicts) == GAUSS_COUNTS[3]
+
+
 # ---------------------------------------------------------------------------
 # LFSR
 
@@ -391,8 +433,8 @@ class TestLfsrStream:
 
     def test_hand_unrolled_period_three(self):
         # s0=1, s1=0, then s_{j+2} = s_j + s_{j+1}: 1,0,1,1,0,1,1,0,1
-        s = lfsr_stream(X2_X_1, BitString.from_bits([1, 0]), 9)
-        assert list(s) == [1, 0, 1, 1, 0, 1, 1, 0, 1]
+        s = lfsr_stream(X2_X_1, from_bits([1, 0]), 9)
+        assert bits_of(s) == [1, 0, 1, 1, 0, 1, 1, 0, 1]
 
     def test_prefix_property(self):
         rng = Random(3)
@@ -404,7 +446,7 @@ class TestLfsrStream:
 
     def test_determinism(self):
         p = Gf2Poly(0b1011)
-        seed = BitString.from_bits([1, 1, 0])
+        seed = from_bits([1, 1, 0])
         assert lfsr_stream(p, seed, 30) == lfsr_stream(p, seed, 30)
 
     @pytest.mark.parametrize("n", range(2, 9))
@@ -429,11 +471,12 @@ class TestLfsrStream:
         rng = Random(seed)
         p = Gf2Poly(sample_irreducible(n, rng))
         key = BitString.random(n, rng)
-        s = list(key)[:count]
+        taps = bits_of(BitString(p.value ^ 1 << n, n))
+        s = bits_of(key)[:count]
         while len(s) < count:
             j = len(s) - n
-            s.append(sum(p.coeff(i) * s[j + i] for i in range(n)) % 2)
-        assert lfsr_stream(p, key, count) == BitString.from_bits(s)
+            s.append(sum(taps[i] * s[j + i] for i in range(n)) % 2)
+        assert lfsr_stream(p, key, count) == from_bits(s)
 
 
 # ---------------------------------------------------------------------------
@@ -456,11 +499,11 @@ class TestHash:
             assert tag.to_hex() == tag_hex
 
     def test_zero_message_zero_tag(self):
-        hasher = LfsrToeplitzHasher(X2_X_1, BitString.from_bits([1, 0]))
+        hasher = LfsrToeplitzHasher(X2_X_1, from_bits([1, 0]))
         assert hasher.hash(BitString(0, 12)).value == 0
 
     def test_rejects_empty_message(self):
-        hasher = LfsrToeplitzHasher(X2_X_1, BitString.from_bits([1, 0]))
+        hasher = LfsrToeplitzHasher(X2_X_1, from_bits([1, 0]))
         with pytest.raises(ValueError):
             hasher.hash(BitString(0, 0))
 
@@ -650,7 +693,7 @@ class TestCollisionBound:
         n, m, trials = 10, 32, 20000
         rng = Random(271828)
         irr = all_irreducibles(n)
-        w = _mul(_mul(irr[3].value, irr[17].value), irr[42].value)
+        w = _mul(_mul(irr[3], irr[17]), irr[42])
         assert w.bit_length() <= m
         m1 = BitString.random(m, rng)
         m2 = m1 ^ BitString(w, m)
@@ -670,7 +713,7 @@ class TestCollisionBound:
 
 class TestOracle:
     def test_zero_message(self):
-        assert toeplitz_oracle(X2_X_1, BitString.from_bits([1, 1]),
+        assert toeplitz_oracle(X2_X_1, from_bits([1, 1]),
                                BitString(0, 9)).value == 0
 
     def test_oracle_checks_lengths(self):

@@ -15,8 +15,9 @@ from aqds.gf2_hash import (
     BitString,
     Gf2Poly,
     LfsrToeplitzHasher,
+    _mod,
+    _mul,
     decode_poly,
-    poly_is_irreducible,
     sample_irreducible,
     toeplitz_oracle,
 )
@@ -357,11 +358,26 @@ class TestVerifyOffTheMemo:
                              memo)
 
 
+def ben_or(v):
+    """Textbook Ben-Or, degree >= 1: a gcd at every step, no sieve or cache."""
+    def gcd(a, b):
+        while b:
+            a, b = b, _mod(a, b)
+        return a
+
+    b = 2
+    for _ in range((v.bit_length() - 1) // 2):
+        b = _mod(_mul(b, b), v)
+        if gcd(b ^ 2, v) != 1:
+            return False
+    return True
+
+
 def oracle_accepts(message, signature, xs, ys, n):
-    """The verdict by the object test and the explicit-matrix hash."""
+    """The verdict by the textbook test and the explicit-matrix hash."""
     plain = xs ^ signature
     poly = Gf2Poly(plain >> n | 1 << n)
-    return (poly_is_irreducible(poly)
+    return (ben_or(poly.value)
             and toeplitz_oracle(poly, BitString(ys, n), message)
             == BitString(plain & ((1 << n) - 1), n))
 
@@ -440,7 +456,7 @@ class TestIntCoreExhaustive:
                 tag = BitString(plain & ((1 << n) - 1), n)
                 for ys in range(1 << n):
                     seed = BitString(ys, n)
-                    want = A if (poly_is_irreducible(poly)
+                    want = A if (ben_or(poly.value)
                                  and toeplitz_oracle(poly, seed, message) == tag) else R
                     for xs in range(1 << 2 * n):
                         bundle = SignatureBundle(message, BitString(xs ^ plain, 2 * n))
