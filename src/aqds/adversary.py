@@ -15,15 +15,9 @@ from fractions import Fraction
 from random import Random
 
 from .gf2_hash import BitString, _mul, sample_irreducible
-from .keymat import SecurityParams, combine, distribute_keys
+from .keymat import SecurityParams, SessionKeys
 from .netsim import AdversaryScript, Rule, Topology, run_round
-from .protocol import (
-    SignatureBundle,
-    VerificationOutcome,
-    accepts,
-    receiver_verify,
-    sign,
-)
+from .protocol import SignatureBundle, VerificationOutcome, accepts, sign
 
 
 @dataclass(frozen=True)
@@ -74,9 +68,10 @@ def forgery_blind(n: int, trials: int, rng: Random, m_bits: int = 32) -> AttackR
 
 
 def _check_guess_room(n: int, m_bits: int) -> None:
-    """Require n < m <= 2^(n-1): above 2^(n-1) there may be too few irreducibles."""
+    """Require n < m <= 2^(n-1) (so n >= 2): past 2^(n-1) guesses may run out."""
     if not n < m_bits or (m_bits - 1).bit_length() >= n:
-        raise ValueError("message length must be in (n, 2^(n-1)] to host the guesses")
+        raise ValueError(f"the forgery suite needs n < m_bits <= 2^(n-1), "
+                         f"got n={n}, m_bits={m_bits}")
 
 
 def polynomial_guess_strategy(bundle: SignatureBundle, rng: Random) -> SignatureBundle:
@@ -107,22 +102,26 @@ def forgery_known_signature(n: int, m_bits: int, trials: int, rng: Random,
     """Forgery holding a genuine (message, signature) and receiver keys.
 
     Per trial a full honest signing happens, the attacker is handed the
-    bundle plus ``known_keys`` receiver-link bundles (never the arbitrator
-    link), and its forgery is judged by the arbitrator's check.  Bound:
-    m / 2^(n-1), which n < m <= 2^(n-1) keeps in (0, 1] even when no trial runs.
+    bundle plus ``known_keys`` receiver-link key pairs (never the arbitrator
+    link), and its forgery is judged by the arbitrator's check.  The link
+    pairs are drawn as ``distribute_keys`` draws them (per link 2n bits of
+    x, then n bits of y) and XORed as ``combine`` does; the strategy reads
+    only their XOR, so no per-link object is built.  Bound: m / 2^(n-1),
+    which n < m <= 2^(n-1) keeps in (0, 1] even when no trial runs.
     """
     _check_guess_room(n, m_bits)
     if known_keys < 1:
         raise ValueError("the attacker is a receiver and holds its own keys")
     successes = 0
     for _ in range(trials):
-        bundles, arb = distribute_keys(n, known_keys, rng)
-        sk = combine(bundles, arb)
-        message = BitString.random(m_bits, rng)
-        bundle = sign(message, sk, rng)
+        xs = ys = 0
+        for _ in range(known_keys + 1):  # the known links, then the arbitrator's
+            xs ^= rng.getrandbits(2 * n)
+            ys ^= rng.getrandbits(n)
+        message = BitString(rng.getrandbits(m_bits), m_bits)
+        bundle = sign(message, SessionKeys(BitString(xs, 2 * n), BitString(ys, n)), rng)
         forged = polynomial_guess_strategy(bundle, rng)
-        if receiver_verify(forged, sk) is VerificationOutcome.ACCEPTED:
-            successes += 1
+        successes += accepts(forged.message, forged.signature.value, xs, ys, n)
     return AttackResult(trials, successes, bound=Fraction(m_bits, 2 ** (n - 1)))
 
 

@@ -1,7 +1,8 @@
 """Command-line entry point: protocol demos, attack suites, and planners.
 
-Every command is deterministic under --seed and emits byte-stable CSV (or
-an aligned table with --format table) to stdout or --output.  Exit codes:
+Every command emits byte-stable CSV (or an aligned table with --format
+table) to stdout or --output; the two that draw, sign-round and attack, are
+deterministic under --seed.  Exit codes:
 0 success, 2 usage error, 3 attack bound violated, 4 infeasible or
 malformed configuration.
 """
@@ -218,8 +219,8 @@ def cmd_sign_round(args) -> int:
         transcript = netsim.run_round(topology, security, script, seed=args.seed)
     except ConfigurationError as exc:  # a rule that does not fit the round's sizes
         raise ConfigurationError(f"{args.script}: {exc}") from exc
-    rows = [(rid, transcript.outcomes[rid].value, security.n,
-             security.bits_per_link)
+    per_link = link_bits(security.m_bits, security.eps_f)
+    rows = [(rid, transcript.outcomes[rid].value, security.n, per_link)
             for rid in topology.receiver_ids]
     _emit(_render(["receiver", "outcome", "n", "bits_per_link"], rows,
                   args.format), args.output)
@@ -246,14 +247,7 @@ def cmd_attack(args) -> int:
             f"bad --m-bits: attack takes at most 2^27 ({8 * _MAX_ROUND_BYTES}) "
             f"bits, got {args.m_bits}")
     if "forgery" in chosen:
-        if not 2 <= args.n < args.m_bits:
-            raise ConfigurationError(
-                f"bad --n/--m-bits: the forgery suite needs 2 <= n < m_bits, "
-                f"got n={args.n}, m_bits={args.m_bits}")
-        if (args.m_bits - 1).bit_length() >= args.n:  # m > 2^(n-1): bound above 1
-            raise ConfigurationError(
-                f"bad --n/--m-bits: the forgery suite needs m_bits <= 2^(n-1), "
-                f"got n={args.n}, m_bits={args.m_bits}")
+        checked("bad --n/--m-bits: ", adversary._check_guess_room, args.n, args.m_bits)
     if {"robustness", "repudiation"} & set(chosen):
         _check_round_receivers(args.receivers)
         sec = checked("bad --n/--m-bits/--receivers: ", SecurityParams.for_n,
@@ -300,10 +294,8 @@ def cmd_consumption(args) -> int:
 
 
 def _source_params(args) -> qkd_model.SourceParams:
-    if args.params:
-        params = qkd_model.load_source_params(args.params)
-    else:
-        params = qkd_model.PRESETS[args.preset]
+    params = (qkd_model.load_source_params(args.params) if args.params
+              else qkd_model.SourceParams())
     overrides = {}
     if args.q_sift is not None:
         overrides["q_sift"] = args.q_sift
@@ -343,8 +335,6 @@ def cmd_comparison(args) -> int:
 
 
 def cmd_scenario(args) -> int:
-    if args.name != "eight-user":
-        raise ConfigurationError(f"unknown scenario {args.name!r}")
     scenarios = qkd_model.load_link_keys(args.keys or qkd_model.EIGHT_USER_NETWORK)
     rows = []
     for name, (meta, links) in scenarios.items():
@@ -367,7 +357,6 @@ def cmd_scenario(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", default=None,
                    help="write here instead of stdout (AQDS_OUTPUT_DIR applies)")
     p.add_argument("--format", choices=("csv", "table"), default="csv")
@@ -386,6 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deadline", type=int, default=10)
     p.add_argument("--script", default=None, help="adversary script (INI)")
     p.add_argument("--transcript", default=None, help="write event transcript here")
+    p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_sign_round)
 
@@ -396,6 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-bits", type=int, default=32)
     p.add_argument("--trials", type=int, default=5000)
     p.add_argument("--receivers", type=int, default=3)
+    p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_attack)
 
@@ -410,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, helptext in (("rate-curve", "secure key rate versus distance"),
                            ("time-curve", "per-round signing time versus distance")):
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("--preset", choices=sorted(qkd_model.PRESETS), default="table1")
         p.add_argument("--params", default=None, help="source parameter file (INI)")
         p.add_argument("--distance-km", type=_parse_range,
                        default=_parse_range("0:400:20"),
@@ -423,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("scenario", help="supported rounds on a stored network")
-    p.add_argument("--name", default="eight-user")
     p.add_argument("--keys", default=None, help="link key stocks (INI)")
     p.add_argument("--message-bytes", type=_parse_size, default=None)
     p.add_argument("--epsilon", type=_epsilon, default=None)

@@ -200,7 +200,7 @@ def _small_residues(v: int) -> int:
 
 @lru_cache(maxsize=1 << 15)
 def _is_irreducible_value(v: int) -> bool:
-    """Is the degree >= 1 polynomial v irreducible?  Exact for every v.
+    """Is the degree >= 1 polynomial v irreducible?  Exact for every such v.
 
     Ben-Or's ladder walks b = x^(2^d) mod v for d = 1..deg/2 and rejects as
     soon as gcd(b + x, v) is non-trivial; any factor of degree d <= deg/2
@@ -217,6 +217,8 @@ def _is_irreducible_value(v: int) -> bool:
     is one of 2^(n-2), so the 2^15 entries hold the verdicts of any one
     degree up to 17 without eviction, not of all those degrees together.
     """
+    if v < 2:  # v = 1 is the one value below degree 2 that passes both parities
+        raise ValueError(f"the irreducibility test needs degree >= 2, got v={v}")
     half = (v.bit_length() - 1) // 2
     top = min(_SIEVE_DEG, half)
     residues = _small_residues(v).to_bytes(len(_SIEVE_POLYS), "little")
@@ -246,10 +248,14 @@ def poly_is_irreducible(v: int) -> bool:
     v(0) = 0 (a factor x) and v(1) = 0 (an even number of terms, a factor
     x + 1) reject at once; what is left goes to the cached ladder
     ``_is_irreducible_value``.  The one irreducibility test, and the one
-    owner of the parity checks.  Below degree 2 the parity checks are
-    wrong (they reject x and x + 1), so callers keep to degree >= 2.
+    owner of the parity checks.  Below degree 2 (v < 4) it raises
+    ValueError, in the parity branch or, for v = 1, in the ladder.
     """
     if not v & 1 or not v.bit_count() & 1:
+        # 0, x and x + 1 end here and 1 in the ladder on a cache miss, so an
+        # accepted or cached test pays nothing for the degree check
+        if v < 4:
+            raise ValueError(f"the irreducibility test needs degree >= 2, got v={v}")
         return False  # v(0) = 0 or v(1) = 0: a factor x or x + 1
     return _is_irreducible_value(v)
 

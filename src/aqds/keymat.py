@@ -143,7 +143,3 @@ class SecurityParams:
         if m_bits >= 2 ** (n - 1):
             raise ValueError("m too long for this n")
         return cls(m_bits=m_bits, eps_f=Fraction(max(m_bits, 1), 2 ** (n - 1)), k=k)
-
-    @property
-    def bits_per_link(self) -> int:
-        return 3 * self.n

@@ -50,7 +50,7 @@ def window_efficiency(t_cc: float, t_delta: float) -> float:
 
 @dataclass(frozen=True)
 class SourceParams:
-    """Physical parameters of one CW-pumped entangled link (both sides)."""
+    """Physical parameters of one CW-pumped entangled link; defaults: Table 1."""
 
     brightness: float = 1e8          # pairs/s at the source
     e_pol_a: float = 0.0181          # per-side polarization error probability
@@ -94,9 +94,6 @@ class SourceParams:
                               stacklevel=2)
             return self.eta_tcc
         return window_efficiency(self.t_cc, self.t_delta)
-
-
-PRESETS = {"table1": SourceParams()}
 
 
 _SOURCE_KEYS = {f.name.replace("_", "-"): float for f in fields(SourceParams)}

@@ -27,7 +27,12 @@ from aqds.gf2_hash import (
 )
 from aqds.keymat import SecurityParams, required_n, total_consumption
 from aqds.netsim import Topology
-from aqds.qkd_model import PRESETS, supported_rounds, time_to_sign, window_efficiency
+from aqds.qkd_model import (
+    SourceParams,
+    supported_rounds,
+    time_to_sign,
+    window_efficiency,
+)
 
 
 def report(criterion: str, detail: str) -> None:
@@ -64,7 +69,7 @@ def test_c03_consumption_spot_values():
 
 def test_c04_signing_time_at_360km():
     # 1 MB message: 2^20 bytes = 2^23 bits
-    seconds = time_to_sign(PRESETS["table1"], 360.0, 2 ** 23, 1e-20)
+    seconds = time_to_sign(SourceParams(), 360.0, 2 ** 23, 1e-20)
     assert 3.3e2 <= seconds <= 3e3
     report("C4", f"1 MB at 360 km takes {seconds:.0f} s")
 

@@ -27,9 +27,9 @@ from aqds.gf2_hash import (
     decode_poly,
     poly_is_irreducible,
 )
-from aqds.keymat import SecurityParams, SessionKeys
+from aqds.keymat import SecurityParams, SessionKeys, combine, distribute_keys
 from aqds.netsim import Topology
-from aqds.protocol import SignatureBundle, VerificationOutcome, receiver_verify
+from aqds.protocol import SignatureBundle, VerificationOutcome, receiver_verify, sign
 
 A = VerificationOutcome.ACCEPTED
 
@@ -163,7 +163,6 @@ class TestForgeryKnownSignature:
     def test_strategy_preserves_signature_and_changes_message(self):
         rng = Random(7)
         sk = SessionKeys(BitString.random(20, rng), BitString.random(10, rng))
-        from aqds.protocol import sign
         bundle = sign(BitString.random(32, rng), sk, rng)
         forged = polynomial_guess_strategy(bundle, rng)
         assert forged.signature == bundle.signature
@@ -172,7 +171,6 @@ class TestForgeryKnownSignature:
     def test_strategy_needs_room_for_guess(self):
         rng = Random(8)
         sk = SessionKeys(BitString.random(20, rng), BitString.random(10, rng))
-        from aqds.protocol import sign
         bundle = sign(BitString.random(8, rng), sk, rng)
         with pytest.raises(ValueError):
             polynomial_guess_strategy(bundle, rng)
@@ -181,7 +179,6 @@ class TestForgeryKnownSignature:
         # m = 17 > 2^3 asks for 4 distinct quartics, but only 3 exist
         rng = Random(9)
         sk = SessionKeys(BitString.random(8, rng), BitString.random(4, rng))
-        from aqds.protocol import sign
         bundle = sign(BitString.random(17, rng), sk, rng)
         with pytest.raises(ValueError):
             polynomial_guess_strategy(bundle, rng)
@@ -269,6 +266,32 @@ class TestDrawOrder:
     def test_counts_pinned(self, experiment, counts):
         res = experiment()
         assert (res.trials, res.successes, res.applicable) == counts
+
+
+def known_signature_reference(n, m, trials, rng, known_keys):
+    """Successes of the known-signature trials on the key and verdict objects."""
+    successes = 0
+    for _ in range(trials):
+        bundles, arb = distribute_keys(n, known_keys, rng)
+        sk = combine(bundles, arb)
+        bundle = sign(BitString.random(m, rng), sk, rng)
+        forged = polynomial_guess_strategy(bundle, rng)
+        successes += receiver_verify(forged, sk) is A
+    return successes
+
+
+class TestKnownSignatureDrawOrder:
+    # the trials draw their link keys as ints; every draw, so also every
+    # verdict and the rng state left behind, matches the object path
+    @pytest.mark.parametrize("known_keys", [1, 2, 6])
+    @pytest.mark.parametrize("n, m", [(4, 8), (10, 32)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_object_path(self, known_keys, n, m, seed):
+        rng, ref_rng = Random(seed), Random(seed)
+        res = forgery_known_signature(n, m, 200, rng, known_keys=known_keys)
+        assert res.successes == known_signature_reference(n, m, 200, ref_rng,
+                                                          known_keys)
+        assert rng.getstate() == ref_rng.getstate()
 
 
 class TestAttackPassSeedSweep:

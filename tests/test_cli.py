@@ -204,10 +204,6 @@ class TestScenario:
         code, _ = run_cli(capsys, "scenario", "--keys", str(keys))
         assert code == EXIT_CONFIG
 
-    def test_unknown_scenario_name(self, capsys):
-        code, _ = run_cli(capsys, "scenario", "--name", "nine-user")
-        assert code == EXIT_CONFIG
-
 
 COMPARISON_CSV = """\
 scheme,k,m_bits,eps_f,total_kbit,source
@@ -259,6 +255,16 @@ class TestOutputHandling:
     def test_unknown_flag_usage_exit(self):
         with pytest.raises(SystemExit) as exc:
             main(["consumption", "--frobnicate"])
+        assert exc.value.code == 2
+
+    # the planners draw nothing, their source defaults are Table 1 and the
+    # stored scenarios come from --keys or the eight-user network
+    @pytest.mark.parametrize("argv", [["consumption", "--seed", "1"],
+                                      ["rate-curve", "--preset", "table1"],
+                                      ["scenario", "--name", "eight-user"]])
+    def test_planners_take_no_seed_preset_or_name(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
         assert exc.value.code == 2
 
 
@@ -327,8 +333,7 @@ FLOAT_TEXT = st.one_of(
 SIZE_TEXT = st.tuples(INT_TEXT, st.sampled_from(["", "K", "M", "G", "k", "g", "T"])).map(
     "".join)
 RANGE_TEXT = st.lists(FLOAT_TEXT, min_size=3, max_size=3).map(":".join)
-CURVE_FLAGS = {"--preset": st.sampled_from(["table1", "lab"]),
-               "--distance-km": st.one_of(RANGE_TEXT, FLOAT_TEXT),
+CURVE_FLAGS = {"--distance-km": st.one_of(RANGE_TEXT, FLOAT_TEXT),
                "--q-sift": FLOAT_TEXT, "--f-ec": FLOAT_TEXT,
                "--message-bytes": SIZE_TEXT, "--epsilon": FLOAT_TEXT}
 PLANNER_FLAGS = {
@@ -337,8 +342,7 @@ PLANNER_FLAGS = {
                     "--format": st.sampled_from(["csv", "table", "tsv"])},
     "rate-curve": CURVE_FLAGS,
     "time-curve": CURVE_FLAGS,
-    "scenario": {"--name": st.sampled_from(["eight-user", "nine-user"]),
-                 "--message-bytes": SIZE_TEXT, "--epsilon": FLOAT_TEXT},
+    "scenario": {"--message-bytes": SIZE_TEXT, "--epsilon": FLOAT_TEXT},
 }
 
 

@@ -145,6 +145,13 @@ class TestIrreducibility:
         assert poly_is_irreducible(X2_X_1.value)
         assert not poly_is_irreducible(0b101)  # x^2+1 = (x+1)^2
 
+    @pytest.mark.parametrize("v", [0, 1, 2, 3])
+    def test_below_degree_two_raises(self, v):
+        # 0, x and x + 1 end at a parity check and 1 reaches the ladder
+        for _ in range(2):  # the second call finds no cached verdict
+            with pytest.raises(ValueError, match="degree >= 2"):
+                poly_is_irreducible(v)
+
     def test_rejects_constants(self):
         # the hasher owns the contract below degree 2
         with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from aqds.keymat import (
     SessionKeys,
     combine,
     distribute_keys,
+    link_bits,
     required_n,
     total_consumption,
 )
@@ -155,7 +156,7 @@ class TestSecurityParams:
     def test_n_always_derived(self):
         sec = SecurityParams(m_bits=2**13, eps_f=1e-10, k=6)
         assert sec.n == 48
-        assert sec.bits_per_link == 144
+        assert link_bits(sec.m_bits, sec.eps_f) == 144
         assert total_consumption(sec.m_bits, sec.eps_f, sec.k) == 144 * 7
 
     def test_for_n_roundtrip(self):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from aqds.config import ConfigurationError
 from aqds.gf2_hash import BitString
-from aqds.keymat import SecurityParams, total_consumption
+from aqds.keymat import SecurityParams, link_bits, total_consumption
 from aqds.netsim import (
     AdversaryScript,
     Event,
@@ -240,7 +240,7 @@ class TestRunRound:
 
     def test_key_accounting(self):
         sec = run_round(Topology.fully_connected(3), SEC3, seed=10).security
-        assert sec.bits_per_link == 3 * 16
+        assert link_bits(sec.m_bits, sec.eps_f) == 3 * 16
         assert total_consumption(sec.m_bits, sec.eps_f, sec.k) == 3 * 16 * 4
 
 

@@ -11,7 +11,6 @@ from aqds.keymat import required_n
 from aqds.qkd_model import (
     InfeasibleDistanceError,
     NoSignalError,
-    PRESETS,
     SourceParams,
     binary_entropy,
     load_source_params,
@@ -21,7 +20,7 @@ from aqds.qkd_model import (
     window_efficiency,
 )
 
-TABLE1 = PRESETS["table1"]
+TABLE1 = SourceParams()
 
 
 class TestBinaryEntropy:
