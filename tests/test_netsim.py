@@ -494,6 +494,66 @@ class TestStageThreeFates:
             "48593d36ac5acf5734514da1f0a7b1069046532d449ef30480561790d421a72c")
 
 
+SEC4 = SecurityParams.for_n(8, 32, 4)  # 32-bit messages, 16-bit signatures
+
+# (name, k, deadline, security, rules): script shapes neither golden file
+# nor the fate pin covers
+PIN_SCRIPTS = [
+    ("replace", 4, 10, SEC4, (
+        Rule(action="replace", kind="broadcast", receiver="r1", target="message",
+             payload_hex="0badf00d"),
+        Rule(action="replace", kind="broadcast", receiver="r2", target="signature",
+             payload_hex="beef"),
+        Rule(action="replace", kind="forward", sender="r3", target="message",
+             payload_hex="00000000"),
+        Rule(action="replace", kind="forward", sender="r4", target="signature",
+             payload_hex="ffff"))),
+    ("message-tamper", 4, 10, SEC4, (
+        Rule(action="tamper", kind="broadcast", receiver="r1", target="message",
+             positions=(0, 7, 31)),
+        Rule(action="tamper", kind="forward", sender="r2", target="message",
+             positions=(5,)),
+        Rule(action="tamper", kind="forward", sender="r3", target="message",
+             positions=(40,)))),
+    ("wildcards", 4, 10, SEC4, (
+        Rule(action="delay", delta=1),
+        Rule(action="tamper", kind="broadcast", target="signature", positions=(2,)),
+        Rule(action="delay", kind="forward", delta=3),
+        Rule(action="drop", sender="r4"),
+        Rule(action="tamper", receiver="r2", positions=(9,)))),
+    ("delay-and-tamper", 4, 10, SEC4, (
+        Rule(action="delay", kind="broadcast", receiver="r1", delta=2),
+        Rule(action="tamper", kind="broadcast", receiver="r1", target="signature",
+             positions=(12,)),
+        Rule(action="tamper", kind="forward", sender="r2", target="message",
+             positions=(3,)),
+        Rule(action="delay", kind="forward", sender="r2", delta=20))),
+    ("on-the-deadline", 4, 6, SEC4, (
+        # r1's broadcast and r2's forward arrive at exactly 6; r3's forward
+        # one unit before it
+        Rule(action="delay", kind="broadcast", receiver="r1", delta=5),
+        Rule(action="delay", kind="forward", sender="r2", delta=4),
+        Rule(action="delay", kind="forward", sender="r3", delta=3))),
+    ("fanout", 100, 10, SecurityParams(m_bits=512, eps_f=1e-10, k=100), tuple(
+        Rule(action="delay", kind="forward", sender=f"r{j}", delta=10)
+        for j in range(10, 101, 10))),
+]
+
+
+class TestRenderPin:
+    def test_rendered_scripts_are_frozen(self):
+        # pinned before transcript lines were rendered on demand: the lazy
+        # render must give these rounds byte for byte
+        digest = hashlib.sha256()
+        for name, k, deadline, sec, rules in PIN_SCRIPTS:
+            for seed in (1, 2):
+                t = run_round(Topology.fully_connected(k, deadline=deadline), sec,
+                              AdversaryScript(rules), seed=seed)
+                digest.update(t.render().encode())
+        assert digest.hexdigest() == (
+            "dddbae67f4ec726b16bc27353153b72d36ab7185989b3c88fb6d74534a7b7e1e")
+
+
 class TestConfigLoading:
     def test_script_roundtrip(self, tmp_path):
         cfg = tmp_path / "script.ini"
