@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from enum import IntEnum
 from pathlib import Path
 from random import Random
@@ -119,7 +120,8 @@ class EventQueue:
 
 
 # ---------------------------------------------------------------------------
-# Transcript texts: each line kind has one text, which its sender digests
+# Transcript texts: each line kind has one text, built from the line's record
+# when the transcript is read
 
 
 def _bundle_text(bundle: SignatureBundle) -> str:
@@ -133,6 +135,89 @@ def _keys_text(keys: KeyBundle) -> str:
 
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# A record is one transcript line as plain data:
+# (event, sender, receiver, at, kind, body).  Each text below builds a
+# line's text from (sender, receiver, body); ``text_of`` gives a bundle's text.
+
+def _broadcast_text(sender, receiver, bundle: SignatureBundle, text_of) -> str:
+    return f"broadcast[{text_of(bundle)}]"
+
+
+def _forward_text(sender, receiver, packet: ForwardPacket, text_of) -> str:
+    return (f"forward[{packet.receiver_id}:{text_of(packet.bundle)}"
+            f":{_keys_text(packet.keys)}:{packet.sent_at}]")
+
+
+def _deadline_text(sender, receiver, body, text_of) -> str:
+    # the golden transcripts fix this text: the repr of a bare string
+    return repr("deadline")
+
+
+def _key_request_text(sender, receiver, timeouts: tuple[str, ...], text_of) -> str:
+    return f"key-request[{','.join(timeouts)}]"
+
+
+def _key_response_text(sender, receiver, keys: Mapping[str, KeyBundle],
+                       text_of) -> str:
+    text = ",".join(f"{r}:{_keys_text(k)}" for r, k in keys.items())
+    return f"key-response[{text}]"
+
+
+def _key_release_text(sender, receiver, session: SessionKeys, text_of) -> str:
+    return f"key-release[session:{session.xs.to_hex()}:{session.ys.to_hex()}]"
+
+
+def _announce_text(sender, receiver, verdict: VerificationOutcome, text_of) -> str:
+    return f"announce[{sender}:{verdict.value}]"
+
+
+def _verdict_text(sender, receiver, outcome: VerificationOutcome, text_of) -> str:
+    return f"verdict[{receiver}:{outcome.value}]"
+
+
+def _claim_text(sender, receiver, claim: tuple[SignatureBundle, bool],
+                text_of) -> str:
+    return f"claim[{sender}:{text_of(claim[0])}:{claim[1]}]"
+
+
+_TEXTS = {
+    "broadcast": _broadcast_text, "forward": _forward_text,
+    "deadline": _deadline_text, "key-request": _key_request_text,
+    "key-response": _key_response_text, "key-release": _key_release_text,
+    "announce": _announce_text, "verdict": _verdict_text, "claim": _claim_text,
+}
+# kinds whose text is a function of the body alone: one digest per body object
+_BODY_TEXTS = ("broadcast", "key-release")
+
+
+def _render_lines(records: list[tuple]) -> list[str]:
+    """The transcript lines of ``records``, each text built and digested once.
+
+    A bundle object's text is built once, and so is the digest of a
+    broadcast or key-release body shared by several lines.  Keys are object
+    ids, which stay valid because the records keep every body alive.
+    """
+    bundle_texts: dict[int, str] = {}
+    shared: dict[int, str] = {}
+
+    def text_of(bundle: SignatureBundle) -> str:
+        text = bundle_texts.get(id(bundle))
+        if text is None:
+            text = bundle_texts[id(bundle)] = _bundle_text(bundle)
+        return text
+
+    lines = []
+    for event, sender, receiver, at, kind, body in records:
+        digest = shared.get(id(body)) if kind in _BODY_TEXTS else None
+        if digest is None:
+            digest = _digest(_TEXTS[kind](sender, receiver, body, text_of))
+            if kind in _BODY_TEXTS:
+                shared[id(body)] = digest
+        # the leading 0 is the round number the golden transcripts fix
+        lines.append(f"0 {event} {sender} {receiver} {at} {digest}")
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -249,16 +334,24 @@ def load_script(path: str | Path) -> AdversaryScript:
 
 @dataclass
 class Transcript:
-    """Full record of one simulated round."""
+    """Full record of one simulated round.
+
+    ``records`` holds one plain-data record per line; the line texts and
+    their digests are built when ``lines`` or ``render()`` is first read.
+    """
 
     security: SecurityParams
-    lines: list[str]
+    records: list[tuple]
     outcomes: dict[str, VerificationOutcome]
     announcements: dict[str, VerificationOutcome]
     timeout_claims: dict[str, bool]
     record: RoundRecord
     signer_keys: SessionKeys
     session_keys: SessionKeys | None
+
+    @cached_property
+    def lines(self) -> list[str]:
+        return _render_lines(self.records)
 
     def render(self) -> str:
         return "\n".join(self.lines) + "\n"
@@ -282,59 +375,46 @@ class _RoundRunner:
         # the round's one tag memo: every untampered copy verifies off sign's tag
         self.memo = TagMemo()
         self.bundle = sign(message, self.signer_sk, self.rng, self.memo)
-        self.bundle_text = _bundle_text(self.bundle)
 
         self.record = RoundRecord.open(topology.receiver_ids, topology.deadline,
                                        self.arb_bundle)
         self.queue = EventQueue()
-        self.lines: list[str] = []
+        self.records: list[tuple] = []
         self.receiver_copy: dict[str, SignatureBundle] = {}
         self.packets: dict[str, ForwardPacket] = {}
         self.announcements: dict[str, VerificationOutcome] = {}
         self.session: SessionKeys | None = None
         self.closed = False
 
-    def _log(self, event: str, sender: str, receiver: str, at: int,
-             digest: str) -> None:
-        # the leading 0 is the round number the golden transcripts fix
-        self.lines.append(f"0 {event} {sender} {receiver} {at} {digest}")
-
     def _send(self, at: int, sender: str, receiver: str, kind: str,
-              body: object, digest: str) -> None:
-        self.queue.push(at, EventKind.DELIVER, sender, receiver, (kind, body, digest))
-
-    def _text(self, bundle: SignatureBundle) -> str:
-        # a tampered copy is another object and gets its own text
-        return self.bundle_text if bundle is self.bundle else _bundle_text(bundle)
+              body: object) -> None:
+        self.queue.push(at, EventKind.DELIVER, sender, receiver, (kind, body))
 
     def run(self) -> Transcript:
-        genuine = _digest(f"broadcast[{self.bundle_text}]")
         for rid in self.top.receiver_ids:
             out, extra = self.script.apply("broadcast", SIGNER, rid, self.bundle)
             if out is not None:
-                digest = genuine if out is self.bundle else _digest(
-                    f"broadcast[{_bundle_text(out)}]")
-                self._send(1 + extra, SIGNER, rid, "broadcast", out, digest)
+                self._send(1 + extra, SIGNER, rid, "broadcast", out)
         self.queue.push(self.top.deadline, EventKind.DEADLINE_FIRE,
                         ARBITRATOR, ARBITRATOR, None)
+        records = self.records
         while self.queue:
             ev = self.queue.advance()
             if ev.kind is EventKind.DEADLINE_FIRE:
-                # the golden transcripts fix this text: the repr of a bare string
-                self._log("deadline", ev.sender, ev.receiver, ev.at,
-                          _digest(repr("deadline")))
+                records.append(("deadline", ev.sender, ev.receiver, ev.at,
+                                "deadline", None))
                 self._on_deadline(ev.at)
                 continue
-            kind, body, digest = ev.payload
+            kind, body = ev.payload
             event, handler = _DISPATCH[kind]
-            self._log(event, ev.sender, ev.receiver, ev.at, digest)
+            records.append((event, ev.sender, ev.receiver, ev.at, kind, body))
             handler(self, ev, body)
         # the deadline is always queued, and the heap pops events in time
         # order, so the claims come one unit after the last event
         self._claims(ev.at + 1)
         return Transcript(
             security=self.sec,
-            lines=self.lines,
+            records=records,
             outcomes={r: self.record.verdicts[r] for r in self.top.receiver_ids},
             announcements=dict(self.announcements),
             timeout_claims=self.claims,
@@ -348,10 +428,8 @@ class _RoundRunner:
         self.receiver_copy[rid] = bundle
         out, extra = self.script.apply("forward", rid, ARBITRATOR, bundle)
         if out is not None:
-            keys = self.link_keys[rid]
-            text = f"forward[{rid}:{self._text(out)}:{_keys_text(keys)}:{ev.at}]"
             self._send(ev.at + 1 + extra, rid, ARBITRATOR, "forward",
-                       ForwardPacket(rid, out, keys, sent_at=ev.at), _digest(text))
+                       ForwardPacket(rid, out, self.link_keys[rid], sent_at=ev.at))
 
     def _on_forward(self, ev: Event, packet: ForwardPacket) -> None:
         if not self.closed and packet.receiver_id not in self.packets:
@@ -359,18 +437,15 @@ class _RoundRunner:
 
     def _on_deadline(self, now: int) -> None:
         self.closed = True
-        timeouts = [r for r in self.top.receiver_ids if r not in self.packets]
+        timeouts = tuple(r for r in self.top.receiver_ids if r not in self.packets)
         if timeouts:
-            self._send(now + 1, ARBITRATOR, SIGNER, "key-request", timeouts,
-                       _digest(f"key-request[{','.join(timeouts)}]"))
+            self._send(now + 1, ARBITRATOR, SIGNER, "key-request", timeouts)
         else:
             self._finish_close(now, {})
 
-    def _on_key_request(self, ev: Event, timeouts: list[str]) -> None:
-        keys = {r: self.link_keys[r] for r in timeouts}
-        text = ",".join(f"{r}:{_keys_text(k)}" for r, k in keys.items())
-        self._send(ev.at + 1, SIGNER, ARBITRATOR, "key-response", keys,
-                   _digest(f"key-response[{text}]"))
+    def _on_key_request(self, ev: Event, timeouts: tuple[str, ...]) -> None:
+        self._send(ev.at + 1, SIGNER, ARBITRATOR, "key-response",
+                   {r: self.link_keys[r] for r in timeouts})
 
     def _on_key_response(self, ev: Event, keys: dict[str, KeyBundle]) -> None:
         self._finish_close(ev.at, keys)
@@ -380,21 +455,17 @@ class _RoundRunner:
             self.record, list(self.packets.values()), now, fetched)
         for rid in self.top.receiver_ids:
             if self.record.verdicts.get(rid) is VerificationOutcome.TIMED_OUT:
-                self._log("verdict", ARBITRATOR, rid, now,
-                          _digest(f"verdict[{rid}:timed-out]"))
-        if self.packets:
-            digest = _digest(
-                f"key-release[session:{session.xs.to_hex()}:{session.ys.to_hex()}]")
-            for rid in self.top.receiver_ids:
-                if rid in self.packets:
-                    self._send(now + 1, ARBITRATOR, rid, "key-release", session, digest)
+                self.records.append(("verdict", ARBITRATOR, rid, now, "verdict",
+                                     VerificationOutcome.TIMED_OUT))
+        for rid in self.top.receiver_ids:
+            if rid in self.packets:
+                self._send(now + 1, ARBITRATOR, rid, "key-release", session)
 
     def _on_key_release(self, ev: Event, session: SessionKeys) -> None:
         rid = ev.receiver
         verdict = receiver_verify(self.receiver_copy[rid], session, self.memo)
         self.announcements[rid] = verdict
-        self._send(ev.at + 1, rid, ARBITRATOR, "announce", verdict,
-                   _digest(f"announce[{rid}:{verdict.value}]"))
+        self._send(ev.at + 1, rid, ARBITRATOR, "announce", verdict)
 
     def _on_announce(self, ev: Event, verdict: VerificationOutcome) -> None:
         rid = ev.sender
@@ -405,8 +476,7 @@ class _RoundRunner:
         else:
             outcome = VerificationOutcome.REJECTED
         self.record.verdicts[rid] = outcome
-        self._log("verdict", ARBITRATOR, rid, ev.at,
-                  _digest(f"verdict[{rid}:{outcome.value}]"))
+        self.records.append(("verdict", ARBITRATOR, rid, ev.at, "verdict", outcome))
 
     def _claims(self, at: int) -> None:
         self.claims: dict[str, bool] = {}
@@ -416,8 +486,8 @@ class _RoundRunner:
                 bundle = self.receiver_copy[rid]
                 ok = timeout_forward_verify(self.record, rid, bundle, self.link_keys[rid])
                 self.claims[rid] = ok
-                self._log("timeout-claim", rid, ARBITRATOR, at,
-                          _digest(f"claim[{rid}:{self._text(bundle)}:{ok}]"))
+                self.records.append(("timeout-claim", rid, ARBITRATOR, at, "claim",
+                                     (bundle, ok)))
 
 
 # delivery kind -> (transcript event name, handler), resolved once

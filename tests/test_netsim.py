@@ -1,5 +1,6 @@
 """Event ordering, round simulation, adversary scripts, config loading."""
 
+import gc
 import hashlib
 from random import Random
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aqds import netsim
 from aqds.config import ConfigurationError
 from aqds.gf2_hash import BitString
 from aqds.keymat import SecurityParams, link_bits, total_consumption
@@ -553,6 +555,47 @@ class TestRenderPin:
         assert digest.hexdigest() == (
             "dddbae67f4ec726b16bc27353153b72d36ab7185989b3c88fb6d74534a7b7e1e")
 
+
+
+def pin_round(name, seed):
+    _, k, deadline, sec, rules = next(s for s in PIN_SCRIPTS if s[0] == name)
+    return run_round(Topology.fully_connected(k, deadline=deadline), sec,
+                     AdversaryScript(rules), seed=seed)
+
+
+class TestLazyTranscript:
+    def test_digests_wait_for_the_first_read(self, monkeypatch):
+        digest = netsim._digest
+        calls = []
+
+        def counted(text):
+            calls.append(text)
+            return digest(text)
+
+        monkeypatch.setattr(netsim, "_digest", counted)
+        t = pin_round("fanout", seed=3)
+        assert calls == []
+        text = t.render()
+        # one digest per line, less the 99 broadcasts and the 89 key releases
+        # that share the genuine bundle's and the session keys' digest
+        assert 0 < len(calls) <= 305
+        first = len(calls)
+        assert t.render() == text
+        assert len(calls) == first  # the lines are kept once built
+
+    def test_rounds_leave_no_reference_cycle(self):
+        # tampered, dropped and late copies on both kinds, read and unread
+        rounds = [("replace", 1), ("message-tamper", 1), ("wildcards", 2),
+                  ("delay-and-tamper", 1), ("on-the-deadline", 2)]
+        gc.collect()
+        gc.disable()
+        try:
+            for name, seed in rounds:
+                pin_round(name, seed)
+                pin_round(name, seed).render()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 class TestConfigLoading:
     def test_script_roundtrip(self, tmp_path):
