@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import heapq
 from dataclasses import dataclass
-from functools import cached_property
 from enum import IntEnum
 from pathlib import Path
 from random import Random
@@ -337,7 +336,8 @@ class Transcript:
     """Full record of one simulated round.
 
     ``records`` holds one plain-data record per line; the line texts and
-    their digests are built when ``lines`` or ``render()`` is first read.
+    their digests are built each time ``lines`` or ``render()`` is read,
+    and never inside the round.
     """
 
     security: SecurityParams
@@ -349,7 +349,7 @@ class Transcript:
     signer_keys: SessionKeys
     session_keys: SessionKeys | None
 
-    @cached_property
+    @property
     def lines(self) -> list[str]:
         return _render_lines(self.records)
 
