@@ -498,10 +498,10 @@ class TestStageThreeFates:
 
 SEC4 = SecurityParams.for_n(8, 32, 4)  # 32-bit messages, 16-bit signatures
 
-# (name, k, deadline, security, rules): script shapes neither golden file
+# name -> (k, deadline, security, rules): script shapes neither golden file
 # nor the fate pin covers
-PIN_SCRIPTS = [
-    ("replace", 4, 10, SEC4, (
+PIN_SCRIPTS = {
+    "replace": (4, 10, SEC4, (
         Rule(action="replace", kind="broadcast", receiver="r1", target="message",
              payload_hex="0badf00d"),
         Rule(action="replace", kind="broadcast", receiver="r2", target="signature",
@@ -510,36 +510,42 @@ PIN_SCRIPTS = [
              payload_hex="00000000"),
         Rule(action="replace", kind="forward", sender="r4", target="signature",
              payload_hex="ffff"))),
-    ("message-tamper", 4, 10, SEC4, (
+    "message-tamper": (4, 10, SEC4, (
         Rule(action="tamper", kind="broadcast", receiver="r1", target="message",
              positions=(0, 7, 31)),
         Rule(action="tamper", kind="forward", sender="r2", target="message",
              positions=(5,)),
         Rule(action="tamper", kind="forward", sender="r3", target="message",
              positions=(40,)))),
-    ("wildcards", 4, 10, SEC4, (
+    "wildcards": (4, 10, SEC4, (
         Rule(action="delay", delta=1),
         Rule(action="tamper", kind="broadcast", target="signature", positions=(2,)),
         Rule(action="delay", kind="forward", delta=3),
         Rule(action="drop", sender="r4"),
         Rule(action="tamper", receiver="r2", positions=(9,)))),
-    ("delay-and-tamper", 4, 10, SEC4, (
+    "delay-and-tamper": (4, 10, SEC4, (
         Rule(action="delay", kind="broadcast", receiver="r1", delta=2),
         Rule(action="tamper", kind="broadcast", receiver="r1", target="signature",
              positions=(12,)),
         Rule(action="tamper", kind="forward", sender="r2", target="message",
              positions=(3,)),
         Rule(action="delay", kind="forward", sender="r2", delta=20))),
-    ("on-the-deadline", 4, 6, SEC4, (
+    "on-the-deadline": (4, 6, SEC4, (
         # r1's broadcast and r2's forward arrive at exactly 6; r3's forward
         # one unit before it
         Rule(action="delay", kind="broadcast", receiver="r1", delta=5),
         Rule(action="delay", kind="forward", sender="r2", delta=4),
         Rule(action="delay", kind="forward", sender="r3", delta=3))),
-    ("fanout", 100, 10, SecurityParams(m_bits=512, eps_f=1e-10, k=100), tuple(
+    "fanout": (100, 10, SecurityParams(m_bits=512, eps_f=1e-10, k=100), tuple(
         Rule(action="delay", kind="forward", sender=f"r{j}", delta=10)
         for j in range(10, 101, 10))),
-]
+}
+
+
+def pin_round(name, seed):
+    k, deadline, sec, rules = PIN_SCRIPTS[name]
+    return run_round(Topology.fully_connected(k, deadline=deadline), sec,
+                     AdversaryScript(rules), seed=seed)
 
 
 class TestRenderPin:
@@ -547,21 +553,11 @@ class TestRenderPin:
         # pinned before transcript lines were rendered on demand: the lazy
         # render must give these rounds byte for byte
         digest = hashlib.sha256()
-        for name, k, deadline, sec, rules in PIN_SCRIPTS:
+        for name in PIN_SCRIPTS:
             for seed in (1, 2):
-                t = run_round(Topology.fully_connected(k, deadline=deadline), sec,
-                              AdversaryScript(rules), seed=seed)
-                digest.update(t.render().encode())
+                digest.update(pin_round(name, seed).render().encode())
         assert digest.hexdigest() == (
             "dddbae67f4ec726b16bc27353153b72d36ab7185989b3c88fb6d74534a7b7e1e")
-
-
-
-def pin_round(name, seed):
-    _, k, deadline, sec, rules = next(s for s in PIN_SCRIPTS if s[0] == name)
-    return run_round(Topology.fully_connected(k, deadline=deadline), sec,
-                     AdversaryScript(rules), seed=seed)
-
 
 class TestLazyTranscript:
     def test_digests_wait_for_the_first_read(self, monkeypatch):
@@ -594,6 +590,7 @@ class TestLazyTranscript:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
 
 class TestConfigLoading:
     def test_script_roundtrip(self, tmp_path):
