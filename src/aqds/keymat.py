@@ -13,39 +13,59 @@ from fractions import Fraction
 from random import Random
 from typing import Sequence
 
-from .gf2_hash import BitString
+from .gf2_hash import BitString, _set, _Value
 
 
-@dataclass(frozen=True)
-class KeyBundle:
-    """One link's key pair: x encrypts (2n bits), y seeds the hash (n bits)."""
+class KeyBundle(_Value):
+    """One link's key pair: x encrypts (2n bits), y seeds the hash (n bits).
 
-    x: BitString
-    y: BitString
+    The halves are kept as the ints ``x_value`` and ``y_value`` with n;
+    ``x`` and ``y`` build them as ``BitString``s when read.
+    """
 
-    def __post_init__(self) -> None:
-        if self.x.length != 2 * self.y.length:
+    __slots__ = ("x_value", "y_value", "n")
+    x_value: int
+    y_value: int
+    n: int
+
+    def __init__(self, x: BitString, y: BitString) -> None:
+        if x.length != 2 * y.length:
             raise ValueError("x must be exactly twice as long as y")
+        _set(self, "x_value", x.value)
+        _set(self, "y_value", y.value)
+        _set(self, "n", y.length)
 
     @property
-    def n(self) -> int:
-        return self.y.length
+    def x(self) -> BitString:
+        return BitString(self.x_value, 2 * self.n)
+
+    @property
+    def y(self) -> BitString:
+        return BitString(self.y_value, self.n)
 
     @classmethod
     def random(cls, n: int, rng: Random) -> KeyBundle:
-        return cls(BitString.random(2 * n, rng), BitString.random(n, rng))
+        """Uniform halves: 2n bits of x, then n bits of y, as ``BitString.random``
+        would draw them, with no ``BitString`` built."""
+        bundle = cls.__new__(cls)
+        _set(bundle, "x_value", rng.getrandbits(2 * n))
+        _set(bundle, "y_value", rng.getrandbits(n))
+        _set(bundle, "n", n)
+        return bundle
 
 
-@dataclass(frozen=True)
-class SessionKeys:
+class SessionKeys(_Value):
     """Combined encryption/seed keys as held by the signer or the arbitrator."""
 
+    __slots__ = ("xs", "ys")
     xs: BitString
     ys: BitString
 
-    def __post_init__(self) -> None:
-        if self.xs.length != 2 * self.ys.length:
+    def __init__(self, xs: BitString, ys: BitString) -> None:
+        if xs.length != 2 * ys.length:
             raise ValueError("xs must be exactly twice as long as ys")
+        _set(self, "xs", xs)
+        _set(self, "ys", ys)
 
     @property
     def n(self) -> int:
@@ -70,16 +90,16 @@ def distribute_keys(n: int, k: int, rng: Random) -> tuple[list[KeyBundle], KeyBu
 def combine(bundles: Sequence[KeyBundle], arb: KeyBundle) -> SessionKeys:
     """XOR of all receiver-link keys with the arbitrator-link keys.
 
-    The XOR runs on the ``value`` ints; two ``BitString``s are built at the
+    The XOR runs on the bundles' ints; two ``BitString``s are built at the
     end.
     """
     n = arb.n
-    xs, ys = arb.x.value, arb.y.value
+    xs, ys = arb.x_value, arb.y_value
     for b in bundles:
-        if b.y.length != n:  # a KeyBundle's x is 2n bits, so y's length decides
+        if b.n != n:
             raise ValueError("XOR requires equal lengths")
-        xs ^= b.x.value
-        ys ^= b.y.value
+        xs ^= b.x_value
+        ys ^= b.y_value
     return SessionKeys(BitString(xs, 2 * n), BitString(ys, n))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
 from random import Random
@@ -97,6 +97,10 @@ class Event(NamedTuple):
     payload: object
 
 
+_DELIVER = EventKind.DELIVER
+_new_event = tuple.__new__  # skips the Python-level ``Event.__new__``
+
+
 class EventQueue:
     """Min-heap of events under the (time, kind, sender, seq) total order."""
 
@@ -106,7 +110,7 @@ class EventQueue:
 
     def push(self, at: int, kind: EventKind, sender: str, receiver: str,
              payload: object) -> Event:
-        ev = Event(at, kind, sender, self._next_seq, receiver, payload)
+        ev = _new_event(Event, (at, kind, sender, self._next_seq, receiver, payload))
         self._next_seq += 1
         heapq.heappush(self._heap, ev)
         return ev
@@ -261,6 +265,12 @@ class Rule:
 @dataclass(frozen=True)
 class AdversaryScript:
     rules: tuple[Rule, ...] = ()
+    # the kinds the rules name, None for a wildcard: a copy of a kind outside
+    # them, with no wildcard, skips the rule scan
+    _kinds: frozenset[str | None] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_kinds", frozenset(r.kind for r in self.rules))
 
     def validate_sized(self, m_bits: int, sig_bits: int) -> None:
         """Reject size-dependent rule problems before any event runs."""
@@ -280,6 +290,8 @@ class AdversaryScript:
     def apply(self, kind: str, sender: str, receiver: str,
               bundle: SignatureBundle) -> tuple[SignatureBundle | None, int]:
         """Rewritten bundle (None = dropped) and extra delay after all rules."""
+        if kind not in self._kinds and None not in self._kinds:
+            return bundle, 0
         extra = 0
         for rule in self.rules:
             if ((rule.kind is not None and rule.kind != kind)
@@ -386,32 +398,30 @@ class _RoundRunner:
         self.session: SessionKeys | None = None
         self.closed = False
 
-    def _send(self, at: int, sender: str, receiver: str, kind: str,
-              body: object) -> None:
-        self.queue.push(at, EventKind.DELIVER, sender, receiver, (kind, body))
-
     def run(self) -> Transcript:
+        # a delivery's payload is (kind, body); handlers push their sends
+        # straight onto the queue
+        queue = self.queue
         for rid in self.top.receiver_ids:
             out, extra = self.script.apply("broadcast", SIGNER, rid, self.bundle)
             if out is not None:
-                self._send(1 + extra, SIGNER, rid, "broadcast", out)
-        self.queue.push(self.top.deadline, EventKind.DEADLINE_FIRE,
-                        ARBITRATOR, ARBITRATOR, None)
+                queue.push(1 + extra, _DELIVER, SIGNER, rid, ("broadcast", out))
+        queue.push(self.top.deadline, EventKind.DEADLINE_FIRE,
+                   ARBITRATOR, ARBITRATOR, None)
         records = self.records
-        while self.queue:
-            ev = self.queue.advance()
-            if ev.kind is EventKind.DEADLINE_FIRE:
-                records.append(("deadline", ev.sender, ev.receiver, ev.at,
-                                "deadline", None))
-                self._on_deadline(ev.at)
-                continue
-            kind, body = ev.payload
-            event, handler = _DISPATCH[kind]
-            records.append((event, ev.sender, ev.receiver, ev.at, kind, body))
-            handler(self, ev, body)
+        while queue:
+            at, ev_kind, sender, _, receiver, payload = queue.advance()
+            if ev_kind is _DELIVER:
+                kind, body = payload
+                event, handler = _DISPATCH[kind]
+                records.append((event, sender, receiver, at, kind, body))
+                handler(self, at, sender, receiver, body)
+            else:
+                records.append(("deadline", sender, receiver, at, "deadline", None))
+                self._on_deadline(at)
         # the deadline is always queued, and the heap pops events in time
         # order, so the claims come one unit after the last event
-        self._claims(ev.at + 1)
+        self._claims(at + 1)
         return Transcript(
             security=self.sec,
             records=records,
@@ -423,15 +433,19 @@ class _RoundRunner:
             session_keys=self.session,
         )
 
-    def _on_broadcast(self, ev: Event, bundle: SignatureBundle) -> None:
-        rid = ev.receiver
+    # a handler takes (at, sender, receiver, body) of one delivery
+
+    def _on_broadcast(self, at: int, sender: str, rid: str,
+                      bundle: SignatureBundle) -> None:
         self.receiver_copy[rid] = bundle
         out, extra = self.script.apply("forward", rid, ARBITRATOR, bundle)
         if out is not None:
-            self._send(ev.at + 1 + extra, rid, ARBITRATOR, "forward",
-                       ForwardPacket(rid, out, self.link_keys[rid], sent_at=ev.at))
+            packet = ForwardPacket(rid, out, self.link_keys[rid], sent_at=at)
+            self.queue.push(at + 1 + extra, _DELIVER, rid, ARBITRATOR,
+                            ("forward", packet))
 
-    def _on_forward(self, ev: Event, packet: ForwardPacket) -> None:
+    def _on_forward(self, at: int, sender: str, receiver: str,
+                    packet: ForwardPacket) -> None:
         if not self.closed and packet.receiver_id not in self.packets:
             self.packets[packet.receiver_id] = packet
 
@@ -439,16 +453,19 @@ class _RoundRunner:
         self.closed = True
         timeouts = tuple(r for r in self.top.receiver_ids if r not in self.packets)
         if timeouts:
-            self._send(now + 1, ARBITRATOR, SIGNER, "key-request", timeouts)
+            self.queue.push(now + 1, _DELIVER, ARBITRATOR, SIGNER,
+                            ("key-request", timeouts))
         else:
             self._finish_close(now, {})
 
-    def _on_key_request(self, ev: Event, timeouts: tuple[str, ...]) -> None:
-        self._send(ev.at + 1, SIGNER, ARBITRATOR, "key-response",
-                   {r: self.link_keys[r] for r in timeouts})
+    def _on_key_request(self, at: int, sender: str, receiver: str,
+                        timeouts: tuple[str, ...]) -> None:
+        self.queue.push(at + 1, _DELIVER, SIGNER, ARBITRATOR,
+                        ("key-response", {r: self.link_keys[r] for r in timeouts}))
 
-    def _on_key_response(self, ev: Event, keys: dict[str, KeyBundle]) -> None:
-        self._finish_close(ev.at, keys)
+    def _on_key_response(self, at: int, sender: str, receiver: str,
+                         keys: dict[str, KeyBundle]) -> None:
+        self._finish_close(at, keys)
 
     def _finish_close(self, now: int, fetched: Mapping[str, KeyBundle]) -> None:
         session = self.session = arbitrator_close_round(
@@ -457,18 +474,19 @@ class _RoundRunner:
             if self.record.verdicts.get(rid) is VerificationOutcome.TIMED_OUT:
                 self.records.append(("verdict", ARBITRATOR, rid, now, "verdict",
                                      VerificationOutcome.TIMED_OUT))
+        release = ("key-release", session)
         for rid in self.top.receiver_ids:
             if rid in self.packets:
-                self._send(now + 1, ARBITRATOR, rid, "key-release", session)
+                self.queue.push(now + 1, _DELIVER, ARBITRATOR, rid, release)
 
-    def _on_key_release(self, ev: Event, session: SessionKeys) -> None:
-        rid = ev.receiver
+    def _on_key_release(self, at: int, sender: str, rid: str,
+                        session: SessionKeys) -> None:
         verdict = receiver_verify(self.receiver_copy[rid], session, self.memo)
         self.announcements[rid] = verdict
-        self._send(ev.at + 1, rid, ARBITRATOR, "announce", verdict)
+        self.queue.push(at + 1, _DELIVER, rid, ARBITRATOR, ("announce", verdict))
 
-    def _on_announce(self, ev: Event, verdict: VerificationOutcome) -> None:
-        rid = ev.sender
+    def _on_announce(self, at: int, rid: str, receiver: str,
+                     verdict: VerificationOutcome) -> None:
         if verdict is VerificationOutcome.ACCEPTED:
             outcome = arbitrator_verify(self.packets[rid], self.session, self.memo)
             if outcome is VerificationOutcome.ACCEPTED:
@@ -476,7 +494,7 @@ class _RoundRunner:
         else:
             outcome = VerificationOutcome.REJECTED
         self.record.verdicts[rid] = outcome
-        self.records.append(("verdict", ARBITRATOR, rid, ev.at, "verdict", outcome))
+        self.records.append(("verdict", ARBITRATOR, rid, at, "verdict", outcome))
 
     def _claims(self, at: int) -> None:
         self.claims: dict[str, bool] = {}

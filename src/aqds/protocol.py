@@ -15,7 +15,14 @@ from enum import Enum
 from random import Random
 from typing import Iterable, Mapping, Sequence
 
-from .gf2_hash import BitString, _toeplitz_tag, decode_poly, sample_irreducible
+from .gf2_hash import (
+    BitString,
+    _set,
+    _toeplitz_tag,
+    _Value,
+    decode_poly,
+    sample_irreducible,
+)
 from .keymat import KeyBundle, SessionKeys, combine
 
 
@@ -25,34 +32,41 @@ class VerificationOutcome(Enum):
     TIMED_OUT = "timed-out"
 
 
-@dataclass(frozen=True)
-class SignatureBundle:
+class SignatureBundle(_Value):
     """A message together with its 2n-bit signature."""
 
+    __slots__ = ("message", "signature")
     message: BitString
     signature: BitString
 
-    def __post_init__(self) -> None:
-        if self.signature.length < 4 or self.signature.length % 2:
+    def __init__(self, message: BitString, signature: BitString) -> None:
+        if signature.length < 4 or signature.length % 2:
             raise ValueError("signature length must be even and at least 4")
+        _set(self, "message", message)
+        _set(self, "signature", signature)
 
     @property
     def n(self) -> int:
         return self.signature.length // 2
 
 
-@dataclass(frozen=True)
-class ForwardPacket:
+class ForwardPacket(_Value):
     """What a receiver hands the arbitrator: its copy of the round and its key."""
 
+    __slots__ = ("receiver_id", "bundle", "keys", "sent_at")
     receiver_id: str
     bundle: SignatureBundle
     keys: KeyBundle
     sent_at: int
 
-    def __post_init__(self) -> None:
-        if self.keys.x.length != self.bundle.signature.length:
+    def __init__(self, receiver_id: str, bundle: SignatureBundle, keys: KeyBundle,
+                 sent_at: int) -> None:
+        if 2 * keys.n != bundle.signature.length:
             raise ValueError("key length inconsistent with signature length")
+        _set(self, "receiver_id", receiver_id)
+        _set(self, "bundle", bundle)
+        _set(self, "keys", keys)
+        _set(self, "sent_at", sent_at)
 
 
 @dataclass
@@ -128,7 +142,7 @@ def receiver_verify(bundle: SignatureBundle, sk: SessionKeys,
     if bundle.signature.length != sk.xs.length:
         raise ValueError("signature length does not match the keys")
     if accepts(bundle.message, bundle.signature.value, sk.xs.value, sk.ys.value,
-               sk.n, memo):
+               sk.ys.length, memo):
         return VerificationOutcome.ACCEPTED
     return VerificationOutcome.REJECTED
 
@@ -189,8 +203,9 @@ def arbitrator_close_round(
     """
     if now < record.deadline:
         raise ValueError("cannot close before the deadline")
+    members = set(record.receiver_ids)
     for p in packets:
-        if p.receiver_id in record.receiver_ids and p.sent_at <= record.deadline:
+        if p.receiver_id in members and p.sent_at <= record.deadline:
             record.key_set.setdefault(p.receiver_id, p.keys)
     timeouts = [r for r in record.receiver_ids if r not in record.key_set]
     missing = [r for r in timeouts if r not in fetched]

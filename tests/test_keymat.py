@@ -43,6 +43,17 @@ class TestDistributeKeys:
         sigma = 0.5 / math.sqrt(total)
         assert abs(ones / total - 0.5) < 3 * sigma
 
+    @pytest.mark.parametrize("n", [2, 16, 44, 82])
+    def test_random_bundle_draws_as_two_bit_strings(self, n):
+        # x's 2n bits, then y's n bits, with the rng left where the two
+        # BitString draws leave it
+        rng, replay = Random(n), Random(n)
+        kb = KeyBundle.random(n, rng)
+        want = KeyBundle(BitString.random(2 * n, replay), BitString.random(n, replay))
+        assert kb == want
+        assert (kb.x, kb.y) == (want.x, want.y)
+        assert rng.getstate() == replay.getstate()
+
     def test_validates_arguments(self):
         with pytest.raises(ValueError):
             distribute_keys(1, 2, Random(0))

@@ -423,6 +423,21 @@ class TestApplyRuleTable:
         for (kind, sender, receiver), want in table.items():
             assert script.apply(kind, sender, receiver, bundle) == want
 
+    def test_a_kind_no_rule_names_passes_untouched(self):
+        bundle = SignatureBundle(BitString(0x5A, 8), BitString(0x9, 4))
+        forwards_only = AdversaryScript((
+            Rule(action="drop", kind="forward", sender="r1"),
+            Rule(action="delay", kind="forward", delta=3)))
+        assert forwards_only.apply("broadcast", "signer", "r1", bundle) == (bundle, 0)
+        assert forwards_only.apply("forward", "r2", "arbitrator", bundle) == (bundle, 3)
+        # a wildcard kind still reaches every kind, in rule order
+        wildcard = AdversaryScript(forwards_only.rules + (
+            Rule(action="tamper", receiver="r1", positions=(0,)),))
+        tampered = SignatureBundle(bundle.message.flip(0), bundle.signature)
+        assert wildcard.apply("broadcast", "signer", "r1", bundle) == (tampered, 0)
+        assert wildcard.apply("forward", "r1", "arbitrator", bundle) == (None, 0)
+        assert AdversaryScript().apply("forward", "r1", "arbitrator", bundle) == (bundle, 0)
+
 
 # one receiver's fate in stage 3: (broadcast, forward); a dropped broadcast
 # leaves nothing to forward
@@ -558,6 +573,29 @@ class TestRenderPin:
                 digest.update(pin_round(name, seed).render().encode())
         assert digest.hexdigest() == (
             "dddbae67f4ec726b16bc27353153b72d36ab7185989b3c88fb6d74534a7b7e1e")
+
+
+class TestQueueRouting:
+    """Every event of a round is pushed through ``EventQueue.push`` and popped
+    through ``EventQueue.advance``, the names the benchmark's tracer counts
+    as queue pushes and events."""
+
+    def test_fanout_round_routes_every_event_through_the_queue(self, monkeypatch):
+        calls = {"push": 0, "advance": 0}
+        for name in calls:
+            method = getattr(EventQueue, name)
+
+            def counted(self, *args, _name=name, _method=method):
+                calls[_name] += 1
+                return _method(self, *args)
+
+            monkeypatch.setattr(EventQueue, name, counted)
+        t = pin_round("fanout", seed=3)
+        # 100 broadcasts, the deadline, 90 forwards on time and 10 late,
+        # the key request and response, 90 key releases and 90 announcements
+        assert calls == {"push": 383, "advance": 383}
+        assert len(t.records) == 383 + 90 + 10 + 10  # verdicts and claims
+
 
 class TestLazyTranscript:
     def test_digests_wait_for_the_first_read(self, monkeypatch):

@@ -1,7 +1,9 @@
 """Signing, verification, round close, and timeout claims."""
 
+import copy
 import gc
 import math
+import pickle
 import weakref
 from random import Random
 
@@ -192,6 +194,16 @@ class TestCloseRound:
         assert record.verdicts["r3"] is VerificationOutcome.TIMED_OUT
         assert session == sk
 
+    def test_packet_from_outside_the_round_is_ignored(self):
+        sk, bundle, record, packets, _ = self.setup_round()
+        _, stranger = distribute_keys(8, 1, Random(21))
+        outsider = ForwardPacket("r9", bundle, stranger, sent_at=2)
+        session = arbitrator_close_round(record, [outsider] + packets, now=10,
+                                         fetched={})
+        assert set(record.key_set) == {"r1", "r2", "r3"}
+        assert stranger not in record.key_set.values()
+        assert session == sk
+
     def test_cannot_close_early(self):
         _, _, record, packets, _ = self.setup_round()
         with pytest.raises(ValueError):
@@ -235,6 +247,93 @@ class TestTimeoutForwardVerify:
         record, bundle, keymap = self.closed_record()
         assert keymap["r1"] != keymap["r2"]
         assert timeout_forward_verify(record, "r1", bundle, keymap["r2"]) is False
+
+
+class TestValueTypes:
+    """The per-round value types: immutable, equal by fields within one class."""
+
+    @staticmethod
+    def twins():
+        # (type name, build) pairs: two builds give equal, distinct objects
+        rng = Random(30)
+        message, signature = BitString.random(32, rng), BitString.random(16, rng)
+        x, y = BitString.random(16, rng), BitString.random(8, rng)
+        return {
+            "BitString": lambda: BitString(message.value, 32),
+            "KeyBundle": lambda: KeyBundle(BitString(x.value, 16), y),
+            "SessionKeys": lambda: SessionKeys(BitString(x.value, 16), y),
+            "SignatureBundle": lambda: SignatureBundle(message, signature),
+            "ForwardPacket": lambda: ForwardPacket(
+                "r1", SignatureBundle(message, signature), KeyBundle(x, y), sent_at=3),
+        }
+
+    @pytest.mark.parametrize("name", ["BitString", "KeyBundle", "SessionKeys",
+                                      "SignatureBundle", "ForwardPacket"])
+    def test_immutable_and_equal_by_fields(self, name):
+        build = self.twins()[name]
+        a, b = build(), build()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert not a != b
+        for field in type(a).__slots__:
+            if field != "__weakref__":
+                with pytest.raises(AttributeError):
+                    setattr(a, field, getattr(a, field))
+                with pytest.raises(AttributeError):
+                    delattr(a, field)
+        with pytest.raises(AttributeError):
+            a.extra = 1
+        assert a == b
+        assert repr(a) == repr(b) and repr(a).startswith(name + "(")
+        assert copy.copy(a) == a and copy.deepcopy(a) == a
+        assert pickle.loads(pickle.dumps(a)) == a
+
+    def test_types_never_compare_equal(self):
+        rng = Random(31)
+        x, y = BitString.random(16, rng), BitString.random(8, rng)
+        assert KeyBundle(x, y) != SessionKeys(x, y)
+        assert SessionKeys(x, y) != KeyBundle(x, y)
+        assert BitString(5, 8) != (5, 8) and (5, 8) != BitString(5, 8)
+        assert KeyBundle(x, y) != (x.value, y.value, 8)
+
+    def test_unequal_fields_unequal_objects(self):
+        rng = Random(32)
+        x, y = BitString.random(16, rng), BitString.random(8, rng)
+        assert BitString(5, 8) != BitString(5, 9)
+        assert KeyBundle(x, y) != KeyBundle(x, y.flip(0))
+        assert SessionKeys(x, y) != SessionKeys(x.flip(15), y)
+
+    def test_bit_string_can_be_weakly_referenced(self):
+        b = BitString(3, 2)
+        ref = weakref.ref(b)
+        assert ref() is b
+        del b
+        gc.collect()
+        assert ref() is None
+
+    def test_key_bundle_halves_read_as_bit_strings(self):
+        kb = KeyBundle(BitString(0xBEEF, 16), BitString(0x5A, 8))
+        assert (kb.x, kb.y, kb.n) == (BitString(0xBEEF, 16), BitString(0x5A, 8), 8)
+        assert (kb.x_value, kb.y_value) == (0xBEEF, 0x5A)
+
+    @pytest.mark.parametrize("build,match", [
+        (lambda: BitString(0, -1), "length must be non-negative"),
+        (lambda: BitString(4, 2), "does not fit in 2 bits"),
+        (lambda: BitString(-1, 2), "does not fit in 2 bits"),
+        (lambda: KeyBundle(BitString(0, 9), BitString(0, 4)),
+         "x must be exactly twice as long as y"),
+        (lambda: SessionKeys(BitString(0, 7), BitString(0, 4)),
+         "xs must be exactly twice as long as ys"),
+        (lambda: SignatureBundle(BitString(0, 8), BitString(0, 2)),
+         "signature length must be even and at least 4"),
+        (lambda: SignatureBundle(BitString(0, 8), BitString(0, 5)),
+         "signature length must be even and at least 4"),
+        (lambda: ForwardPacket("r1", SignatureBundle(BitString(0, 8), BitString(0, 8)),
+                               KeyBundle(BitString(0, 6), BitString(0, 3)), sent_at=0),
+         "key length inconsistent with signature length"),
+    ])
+    def test_constructor_errors(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
 
 
 def signed_tag(bundle, sk):
