@@ -12,13 +12,18 @@ from aqds.gf2_hash import (
     BitString,
     Gf2Poly,
     LfsrToeplitzHasher,
+    _BATCH,
     _fold_mod,
     _is_irreducible_value,
+    _lane_bytes,
     _mod,
     _mul,
+    _SIEVE_DEG,
     _SIEVE_POLYS,
     _small_residues,
+    _spread,
     _sq,
+    _unspread,
     decode_poly,
     lfsr_stream,
     poly_is_irreducible,
@@ -257,7 +262,16 @@ class TestSmallFactorSieve:
     # ladder stops short of d = 18, which would find it again
     @example(9, 10, 0)
     @example(9, 26, 1)
+    # deg 80: at d = 40 both factors divide b + x, so the product reaches 0
     @example(40, 40, 2)
+    # the ladder takes its gcds at d = top + _BATCH, top + 2 _BATCH, ...
+    # and at d = deg/2: the factor shows at the last step of the first
+    # batch, at the first step of the second, and at d = deg/2 in a
+    # partial last batch
+    @example(_SIEVE_DEG + _BATCH, 40, 3)
+    @example(_SIEVE_DEG + _BATCH + 1, 40, 4)
+    @example(_SIEVE_DEG + _BATCH + _BATCH // 2,
+             _SIEVE_DEG + _BATCH + _BATCH // 2 + 1, 5)
     def test_product_of_two_large_irreducibles_is_rejected(self, df, dg, seed):
         rng = Random(seed)
         v = _mul(sample_irreducible(df, rng), sample_irreducible(dg, rng))
@@ -274,7 +288,22 @@ class TestSmallFactorSieve:
         v = random_monic(degree, Random(seed))
         assert _is_irreducible_value.__wrapped__(v) == ben_or(v)
 
-    @pytest.mark.parametrize("n, seed", [(16, 3), (40, 4), (82, 5)])
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(255, 300), st.integers(0, 2**32))
+    @example(255, 0)  # the widest degree in byte lanes
+    @example(256, 1)  # the first in two-byte lanes
+    def test_dense_values_equal_textbook_ben_or(self, degree, seed):
+        # all ones with a few bits cleared, an odd weight and constant
+        # term 1: dense v gives the Barrett products q v their highest
+        # lane counts
+        rng = Random(seed)
+        cleared = rng.getrandbits(degree) & rng.getrandbits(degree) & rng.getrandbits(degree)
+        v = (2 << degree) - 1 ^ cleared & -2  # about an eighth cleared, not bit 0
+        v ^= 0 if v.bit_count() & 1 else 2
+        assert _is_irreducible_value.__wrapped__(v) == ben_or(v)
+
+    # n = 255 is the widest degree in byte lanes, 256 the first in two-byte ones
+    @pytest.mark.parametrize("n, seed", [(16, 3), (40, 4), (82, 5), (255, 6), (256, 7)])
     def test_irreducible_draws_pass_the_textbook_test(self, n, seed):
         # random values are mostly reducible; this checks the other verdict
         rng = Random(seed)
@@ -619,6 +648,32 @@ class TestSquare:
     def test_equals_product_with_itself(self, bits, seed):
         a = Random(seed).getrandbits(bits)
         assert _sq(a) == _mul(a, a)
+
+
+class TestSpreadProduct:
+    """One int multiply of spread operands, masked to each lane's low bit,
+    is the GF(2) product while no lane's count passes its width."""
+
+    @pytest.mark.parametrize("bits", [*range(250, 261), 511, 2100])
+    def test_dense_product_equals_mul(self, bits):
+        # all ones: the middle lane of the square counts ``bits`` terms,
+        # which overflows a byte lane from 256 bits on
+        a = (1 << bits) - 1
+        b = a ^ 1 << bits // 2
+        w = _lane_bytes(bits)
+        ones = _spread((1 << 2 * bits) - 1, w)
+        for x, y in ((a, a), (a, b), (b, b)):
+            assert _unspread(_spread(x, w) * _spread(y, w) & ones, w) == _mul(x, y)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2100), st.integers(1, 3), st.integers(0, 2**32))
+    @example(0, 1, 0)  # a = 0
+    def test_unspread_inverts_spread(self, bits, w, seed):
+        a = Random(seed).getrandbits(bits)
+        s = _spread(a, w)
+        assert _unspread(s, w) == a
+        assert all(s >> 8 * w * i & (1 << 8 * w) - 1 == a >> i & 1
+                   for i in range(bits))
 
 
 class TestFoldMod:

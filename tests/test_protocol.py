@@ -194,6 +194,18 @@ class TestCloseRound:
         assert record.verdicts["r3"] is VerificationOutcome.TIMED_OUT
         assert session == sk
 
+    @pytest.mark.parametrize("sent_at, on_time", [(9, True), (10, True), (11, False)])
+    def test_packet_sent_at_the_deadline_counts(self, sent_at, on_time):
+        # netsim stops collecting at the close, so only a direct caller
+        # reaches this boundary: the deadline is 10 and sent_at <= 10 counts
+        sk, bundle, record, packets, keymap = self.setup_round(timeouts=("r3",))
+        packet = ForwardPacket("r3", bundle, keymap["r3"], sent_at=sent_at)
+        fetched = {} if on_time else {"r3": keymap["r3"]}  # {} raises on a timeout
+        session = arbitrator_close_round(record, packets + [packet], now=11,
+                                         fetched=fetched)
+        assert session == sk
+        assert record.verdicts == ({} if on_time else {"r3": VerificationOutcome.TIMED_OUT})
+
     def test_packet_from_outside_the_round_is_ignored(self):
         sk, bundle, record, packets, _ = self.setup_round()
         _, stranger = distribute_keys(8, 1, Random(21))
