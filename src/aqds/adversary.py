@@ -119,7 +119,7 @@ def forgery_known_signature(n: int, m_bits: int, trials: int, rng: Random,
             xs ^= rng.getrandbits(2 * n)
             ys ^= rng.getrandbits(n)
         message = BitString(rng.getrandbits(m_bits), m_bits)
-        bundle = sign(message, SessionKeys(BitString(xs, 2 * n), BitString(ys, n)), rng)
+        bundle = sign(message, SessionKeys(xs, ys, n), rng)
         forged = polynomial_guess_strategy(bundle, rng)
         successes += accepts(forged.message, forged.signature.value, xs, ys, n)
     return AttackResult(trials, successes, bound=Fraction(m_bits, 2 ** (n - 1)))

@@ -30,10 +30,12 @@ _BIT_REVERSE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 class _Value:
     """Base of the immutable value types that a round builds per receiver.
 
-    A subclass lists its fields in ``__slots__`` and writes each once in
-    its validating ``__init__``, through ``_set``; assignment afterwards
-    raises AttributeError.  Equality, hash and repr are built from the
-    fields, and an instance equals only instances of its own class.
+    A subclass lists its fields in ``__slots__``, after those of its
+    bases.  Its validating ``__init__`` takes them in that order and writes
+    each once through ``_set``; copy and pickle call it with the stored
+    fields, and assignment afterwards raises AttributeError.  Equality,
+    hash and repr are built from the fields, and an instance equals only
+    instances of its own class.
     ``BitString(v, n)`` took 0.6 us this way against 1.4 us as a frozen
     dataclass (2-vCPU x86-64 VM, Python 3.11.7).
     """
@@ -43,7 +45,9 @@ class _Value:
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        cls._fields = tuple(s for s in cls.__slots__ if s != "__weakref__")
+        cls._fields = tuple(s for c in reversed(cls.__mro__)
+                            for s in c.__dict__.get("__slots__", ())
+                            if s != "__weakref__")
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -67,19 +71,10 @@ class _Value:
         return f"{type(self).__name__}({fields})"
 
     def __reduce__(self) -> tuple:
-        # copy and pickle rebuild the fields as stored: KeyBundle's
-        # __init__ takes other arguments
-        return _rebuild, (self.__class__, self._astuple())
+        return self.__class__, self._astuple()
 
 
 _set = object.__setattr__  # writes a _Value's field past its __setattr__
-
-
-def _rebuild(cls: type[_Value], values: tuple) -> _Value:
-    value = cls.__new__(cls)
-    for name, field_value in zip(cls._fields, values):
-        _set(value, name, field_value)
-    return value
 
 
 class BitString(_Value):

@@ -19,8 +19,8 @@ from .gf2_hash import BitString, _set, _Value
 class KeyBundle(_Value):
     """One link's key pair: x encrypts (2n bits), y seeds the hash (n bits).
 
-    The halves are kept as the ints ``x_value`` and ``y_value`` with n;
-    ``x`` and ``y`` build them as ``BitString``s when read.
+    The halves are kept as the ints ``x_value`` < 2^(2n) and ``y_value`` <
+    2^n with n; ``x`` and ``y`` build them as ``BitString``s when read.
     """
 
     __slots__ = ("x_value", "y_value", "n")
@@ -28,12 +28,13 @@ class KeyBundle(_Value):
     y_value: int
     n: int
 
-    def __init__(self, x: BitString, y: BitString) -> None:
-        if x.length != 2 * y.length:
-            raise ValueError("x must be exactly twice as long as y")
-        _set(self, "x_value", x.value)
-        _set(self, "y_value", y.value)
-        _set(self, "n", y.length)
+    def __init__(self, x_value: int, y_value: int, n: int) -> None:
+        # a half too wide, or negative (it shifts to -1), leaves bits set
+        if x_value >> 2 * n or y_value >> n:
+            raise ValueError(f"key halves must fit in {2 * n} and {n} bits")
+        _set(self, "x_value", x_value)
+        _set(self, "y_value", y_value)
+        _set(self, "n", n)
 
     @property
     def x(self) -> BitString:
@@ -45,31 +46,19 @@ class KeyBundle(_Value):
 
     @classmethod
     def random(cls, n: int, rng: Random) -> KeyBundle:
-        """Uniform halves: 2n bits of x, then n bits of y, as ``BitString.random``
-        would draw them, with no ``BitString`` built."""
-        bundle = cls.__new__(cls)
-        _set(bundle, "x_value", rng.getrandbits(2 * n))
-        _set(bundle, "y_value", rng.getrandbits(n))
-        _set(bundle, "n", n)
-        return bundle
+        """Uniform halves: 2n bits of x, then n bits of y."""
+        return cls(rng.getrandbits(2 * n), rng.getrandbits(n), n)
 
 
-class SessionKeys(_Value):
-    """Combined encryption/seed keys as held by the signer or the arbitrator."""
+class SessionKeys(KeyBundle):
+    """Combined encryption/seed keys as held by the signer or the arbitrator.
 
-    __slots__ = ("xs", "ys")
-    xs: BitString
-    ys: BitString
+    ``xs`` and ``ys`` read the halves as ``BitString``s.
+    """
 
-    def __init__(self, xs: BitString, ys: BitString) -> None:
-        if xs.length != 2 * ys.length:
-            raise ValueError("xs must be exactly twice as long as ys")
-        _set(self, "xs", xs)
-        _set(self, "ys", ys)
-
-    @property
-    def n(self) -> int:
-        return self.ys.length
+    __slots__ = ()
+    xs = KeyBundle.x
+    ys = KeyBundle.y
 
 
 def distribute_keys(n: int, k: int, rng: Random) -> tuple[list[KeyBundle], KeyBundle]:
@@ -88,11 +77,7 @@ def distribute_keys(n: int, k: int, rng: Random) -> tuple[list[KeyBundle], KeyBu
 
 
 def combine(bundles: Sequence[KeyBundle], arb: KeyBundle) -> SessionKeys:
-    """XOR of all receiver-link keys with the arbitrator-link keys.
-
-    The XOR runs on the bundles' ints; two ``BitString``s are built at the
-    end.
-    """
+    """XOR of all receiver-link keys with the arbitrator-link keys."""
     n = arb.n
     xs, ys = arb.x_value, arb.y_value
     for b in bundles:
@@ -100,7 +85,7 @@ def combine(bundles: Sequence[KeyBundle], arb: KeyBundle) -> SessionKeys:
             raise ValueError("XOR requires equal lengths")
         xs ^= b.x_value
         ys ^= b.y_value
-    return SessionKeys(BitString(xs, 2 * n), BitString(ys, n))
+    return SessionKeys(xs, ys, n)
 
 
 def required_n(m_bits: int, eps_f: float | Fraction) -> int:

@@ -28,7 +28,6 @@ from .protocol import (
     TagMemo,
     VerificationOutcome,
     arbitrator_close_round,
-    arbitrator_verify,
     receiver_verify,
     sign,
     timeout_forward_verify,
@@ -488,9 +487,10 @@ class _RoundRunner:
     def _on_announce(self, at: int, rid: str, receiver: str,
                      verdict: VerificationOutcome) -> None:
         if verdict is VerificationOutcome.ACCEPTED:
-            outcome = arbitrator_verify(self.packets[rid], self.session, self.memo)
+            bundle = self.packets[rid].bundle
+            outcome = receiver_verify(bundle, self.session, self.memo)
             if outcome is VerificationOutcome.ACCEPTED:
-                self.record.archive_verified(self.packets[rid].bundle)
+                self.record.archive_verified(bundle)
         else:
             outcome = VerificationOutcome.REJECTED
         self.record.verdicts[rid] = outcome

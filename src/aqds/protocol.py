@@ -71,30 +71,16 @@ class ForwardPacket(_Value):
 
 @dataclass
 class TagMemo:
-    """The last tag a round computed: (message, polynomial value, seed, tag).
+    """The signed tag of a round: (message, polynomial value, seed, tag).
 
     In a round, the signer, every receiver and the arbitrator tag the same
-    message object under the same keys, so the round keeps one entry and
-    ``accepts`` reuses it.  The memo dies with the round; callers that pass
+    message object under the same keys, so ``sign`` records its tag here
+    and ``accepts`` reuses it; a copy that misses it is hashed afresh and
+    leaves it as it is.  The memo dies with the round; callers that pass
     none hash every time.
     """
 
     entry: tuple[BitString, int, int, int] | None = None
-
-
-def _tag(poly: int, seed: int, message: BitString,
-         memo: TagMemo | None = None) -> int:
-    """The LFSR-Toeplitz tag of ``message`` under (poly, seed), as an int.
-
-    The one writer of ``memo``.  It is reached only with a polynomial value
-    from ``sample_irreducible`` or a successful ``decode_poly``, so every
-    entry it records holds an irreducible polynomial and the memo rule of
-    ``accepts`` stays exact without a second irreducibility test.
-    """
-    tag = _toeplitz_tag(poly, seed, message)
-    if memo is not None:
-        memo.entry = (message, poly, seed, tag)
-    return tag
 
 
 def sign(message: BitString, sk: SessionKeys, rng: Random,
@@ -102,13 +88,17 @@ def sign(message: BitString, sk: SessionKeys, rng: Random,
     """Sign a message: tag it, append the polynomial encoding, one-time-pad.
 
     Verifiers recover the n-bit polynomial encoding from the signature.
+    The one writer of ``memo``.
     """
     if message.length < 1:
         raise ValueError("message must be non-empty")
     n = sk.n
     poly = sample_irreducible(n, rng)
-    plain = _tag(poly, sk.ys.value, message, memo) | (poly ^ 1 << n) << n
-    return SignatureBundle(message, BitString(sk.xs.value ^ plain, 2 * n))
+    tag = _toeplitz_tag(poly, sk.y_value, message)
+    if memo is not None:
+        memo.entry = (message, poly, sk.y_value, tag)
+    plain = tag | (poly ^ 1 << n) << n
+    return SignatureBundle(message, BitString(sk.x_value ^ plain, 2 * n))
 
 
 def accepts(message: BitString, signature: int, xs: int, ys: int, n: int,
@@ -117,11 +107,13 @@ def accepts(message: BitString, signature: int, xs: int, ys: int, n: int,
 
     Strips the pad xs, decodes the upper n bits as the polynomial (a
     reducible decode rejects) and compares the lower n bits with the tag
-    of ``message`` under (polynomial, ys).  A ``memo`` entry for the same
-    message object, polynomial and seed skips the decode and the hash,
-    exactly: the message is matched by identity, which is exact because a
-    ``BitString`` never changes, and only ``_tag`` writes the memo.  Int
-    arguments let attack trials skip key objects.
+    of ``message`` under (polynomial, ys).  The ``memo`` entry of ``sign``
+    for the same message object, polynomial and seed skips the decode and
+    the hash, exactly: the message is matched by identity, which is exact
+    because a ``BitString`` never changes, and the entry's polynomial came
+    from ``sample_irreducible``, so the decode it skips would succeed.  A
+    miss hashes and writes nothing.  Int arguments let attack trials skip
+    key objects.
     """
     plain = xs ^ signature
     last = memo and memo.entry
@@ -130,7 +122,7 @@ def accepts(message: BitString, signature: int, xs: int, ys: int, n: int,
         return last[3] == plain & ((1 << n) - 1)
     poly = decode_poly(plain >> n, n)
     return (poly is not None
-            and _tag(poly, ys, message, memo) == plain & ((1 << n) - 1))
+            and _toeplitz_tag(poly, ys, message) == plain & ((1 << n) - 1))
 
 
 def receiver_verify(bundle: SignatureBundle, sk: SessionKeys,
@@ -139,10 +131,10 @@ def receiver_verify(bundle: SignatureBundle, sk: SessionKeys,
 
     Raises ValueError when the signature length does not match the keys.
     """
-    if bundle.signature.length != sk.xs.length:
+    if bundle.signature.length != 2 * sk.n:
         raise ValueError("signature length does not match the keys")
-    if accepts(bundle.message, bundle.signature.value, sk.xs.value, sk.ys.value,
-               sk.ys.length, memo):
+    if accepts(bundle.message, bundle.signature.value, sk.x_value, sk.y_value,
+               sk.n, memo):
         return VerificationOutcome.ACCEPTED
     return VerificationOutcome.REJECTED
 

@@ -65,6 +65,10 @@ class SourceParams:
     f_ec: float = 1.1                # error-correction inefficiency f
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, not {value!r}")
         if self.brightness < 0 or self.dark_count < 0 or self.t_cc < 0:
             raise ValueError("rates and window width must be non-negative")
         for e in (self.e_pol_a, self.e_pol_b):
@@ -183,6 +187,8 @@ def load_link_keys(path: str | Path):
                 meta[key] = ini.value(name, key, _STOCK_METADATA[key])
             else:
                 links[key] = ini.value(name, key, int)
+                if links[key] < 0:
+                    raise ini.error(name, f"key {key!r}: a stock cannot be negative")
         # a size no signing round can have is a configuration error
         ini.build(name, required_n, {"m_bits": 8 * meta["message-bytes"],
                                      "eps_f": meta["epsilon"]})

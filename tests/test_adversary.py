@@ -70,17 +70,17 @@ def guess_rate_over_every_key(n: int, m: int) -> Fraction:
     p, ys): the share of the keys that accept the forgery."""
     rng = Random(12)
     message = BitString.random(m, rng)
-    xs = BitString.random(2 * n, rng)
+    xs = rng.getrandbits(2 * n)
     polys = [Gf2Poly(v) for v in range(1 << n, 2 << n) if poly_is_irreducible(v)]
     accepted = 0
     for p in polys:
-        for ys in (BitString(v, n) for v in range(1 << n)):
-            tag = LfsrToeplitzHasher(p, ys).hash(message).value
+        for ys in range(1 << n):
+            tag = LfsrToeplitzHasher(p, BitString(ys, n)).hash(message).value
             # tag in the low n bits, the encoding (p without x^n) above it
-            plain = BitString(tag | (p.value ^ 1 << n) << n, 2 * n)
-            bundle = SignatureBundle(message, xs ^ plain)
+            plain = tag | (p.value ^ 1 << n) << n
+            bundle = SignatureBundle(message, BitString(xs ^ plain, 2 * n))
             forged = polynomial_guess_strategy(bundle, Random(13))
-            accepted += receiver_verify(forged, SessionKeys(xs, ys)) is A
+            accepted += receiver_verify(forged, SessionKeys(xs, ys, n)) is A
     return Fraction(accepted, len(polys) << n)
 
 
@@ -124,7 +124,7 @@ class TestForgeryBlind:
         # one whose decrypted digest carries the unique irreducible encoding
         # and the matching tag
         rng = Random(2)
-        sk = SessionKeys(BitString.random(4, rng), BitString.random(2, rng))
+        sk = SessionKeys.random(2, rng)
         message = BitString.random(8, rng)
         accepted = [s for s in range(16)
                     if receiver_verify(SignatureBundle(message, BitString(s, 4)), sk)
@@ -162,7 +162,7 @@ class TestForgeryKnownSignature:
 
     def test_strategy_preserves_signature_and_changes_message(self):
         rng = Random(7)
-        sk = SessionKeys(BitString.random(20, rng), BitString.random(10, rng))
+        sk = SessionKeys.random(10, rng)
         bundle = sign(BitString.random(32, rng), sk, rng)
         forged = polynomial_guess_strategy(bundle, rng)
         assert forged.signature == bundle.signature
@@ -170,7 +170,7 @@ class TestForgeryKnownSignature:
 
     def test_strategy_needs_room_for_guess(self):
         rng = Random(8)
-        sk = SessionKeys(BitString.random(20, rng), BitString.random(10, rng))
+        sk = SessionKeys.random(10, rng)
         bundle = sign(BitString.random(8, rng), sk, rng)
         with pytest.raises(ValueError):
             polynomial_guess_strategy(bundle, rng)
@@ -178,7 +178,7 @@ class TestForgeryKnownSignature:
     def test_strategy_refuses_more_guesses_than_irreducibles(self):
         # m = 17 > 2^3 asks for 4 distinct quartics, but only 3 exist
         rng = Random(9)
-        sk = SessionKeys(BitString.random(8, rng), BitString.random(4, rng))
+        sk = SessionKeys.random(4, rng)
         bundle = sign(BitString.random(17, rng), sk, rng)
         with pytest.raises(ValueError):
             polynomial_guess_strategy(bundle, rng)
@@ -222,7 +222,7 @@ class TestExactForgeryRates:
         # makes the digest uniform, so exactly I_4/4^4 of the keys accept it
         rng = Random(11)
         forged = SignatureBundle(BitString.random(32, rng), BitString.random(8, rng))
-        keys = (SessionKeys(BitString(xs, 8), BitString(ys, 4))
+        keys = (SessionKeys(xs, ys, 4)
                 for xs in range(1 << 8) for ys in range(1 << 4))
         accepted = sum(receiver_verify(forged, sk) is A for sk in keys)
         assert Fraction(accepted, 1 << 12) == blind_rate(4) == Fraction(3, 256)

@@ -319,6 +319,12 @@ MALFORMED = [
     # the transcript would overwrite the result table
     (["sign-round", "--output", "{cfg}", "--transcript", "{cfg}"], None,
      ["bad --transcript", "--output"]),
+    (["scenario", "--keys", "{cfg}"], "[s]\nAI = 1000\nA1 = -5\n",
+     ["[s]", "'A1'", "cannot be negative"]),
+    (["time-curve", "--params", "{cfg}"], "[source]\nalpha-db-per-km = nan\n",
+     ["[source]", "alpha_db_per_km", "finite"]),
+    (["time-curve", "--params", "{cfg}"], "[source]\nbrightness = inf\n",
+     ["[source]", "brightness", "finite"]),
 ]
 
 

@@ -49,7 +49,8 @@ class TestDistributeKeys:
         # BitString draws leave it
         rng, replay = Random(n), Random(n)
         kb = KeyBundle.random(n, rng)
-        want = KeyBundle(BitString.random(2 * n, replay), BitString.random(n, replay))
+        want = KeyBundle(BitString.random(2 * n, replay).value,
+                         BitString.random(n, replay).value, n)
         assert kb == want
         assert (kb.x, kb.y) == (want.x, want.y)
         assert rng.getstate() == replay.getstate()
@@ -67,7 +68,7 @@ class TestCombine:
         assert combine(bundles, arb) == combine(bundles, arb)
 
     def test_zero_receiver_keys_yield_arbitrator(self):
-        zero = KeyBundle(BitString(0, 8), BitString(0, 4))
+        zero = KeyBundle(0, 0, 4)
         _, arb = distribute_keys(4, 1, Random(2))
         sk = combine([zero], arb)
         assert sk.xs == arb.x and sk.ys == arb.y
@@ -80,20 +81,21 @@ class TestCombine:
         # folding the combined keys back in as one more bundle recovers arb
         bundles, arb = distribute_keys(8, 3, Random(4))
         sk = combine(bundles, arb)
-        back = combine(bundles, KeyBundle(sk.xs, sk.ys))
+        back = combine(bundles, KeyBundle(sk.x_value, sk.y_value, sk.n))
         assert back.xs == arb.x and back.ys == arb.y
 
     def test_length_mismatch_rejected(self):
-        a = KeyBundle(BitString(0, 8), BitString(0, 4))
-        b = KeyBundle(BitString(0, 16), BitString(0, 8))
+        a = KeyBundle(0, 0, 4)
+        b = KeyBundle(0, 0, 8)
         with pytest.raises(ValueError):
             combine([a], b)
 
     def test_bundle_shape_validated(self):
-        with pytest.raises(ValueError):
-            KeyBundle(BitString(0, 9), BitString(0, 4))
-        with pytest.raises(ValueError):
-            SessionKeys(BitString(0, 7), BitString(0, 4))
+        for cls in (KeyBundle, SessionKeys):
+            assert cls((1 << 8) - 1, (1 << 4) - 1, 4).n == 4
+            for x, y in ((1 << 8, 0), (0, 1 << 4), (-1, 0), (0, -1)):
+                with pytest.raises(ValueError, match="must fit in 8 and 4 bits"):
+                    cls(x, y, 4)
 
 
 class TestRequiredN:

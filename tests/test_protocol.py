@@ -19,12 +19,13 @@ from aqds.gf2_hash import (
     LfsrToeplitzHasher,
     _mod,
     _mul,
+    _toeplitz_tag,
     decode_poly,
     sample_irreducible,
     toeplitz_oracle,
 )
 from aqds.keymat import KeyBundle, SecurityParams, SessionKeys, combine, distribute_keys
-from aqds.netsim import Topology, run_round
+from aqds.netsim import AdversaryScript, Rule, Topology, run_round
 from aqds.protocol import (
     ForwardPacket,
     RoundRecord,
@@ -88,7 +89,7 @@ class TestSign:
 class TestReceiverVerify:
     def test_length_mismatch_invalid(self):
         _, _, _, sk, bundle = honest_setup(n=16)
-        short = SessionKeys(BitString(0, 24), BitString(0, 12))
+        short = SessionKeys(0, 0, 12)
         with pytest.raises(ValueError):
             receiver_verify(bundle, short)
 
@@ -114,7 +115,7 @@ class TestReceiverVerify:
         rng = Random(78)
         accepted = 0
         for _ in range(trials):
-            sk = SessionKeys(BitString.random(2 * n, rng), BitString.random(n, rng))
+            sk = SessionKeys.random(n, rng)
             forged = SignatureBundle(BitString.random(m, rng),
                                      BitString.random(2 * n, rng))
             if receiver_verify(forged, sk) is A:
@@ -127,7 +128,7 @@ class TestReceiverVerify:
         # force the decrypted encoding to decode reducible: n=2, encoding
         # (0, 0) is x^2, so craft the signature accordingly
         rng = Random(9)
-        sk = SessionKeys(BitString.random(4, rng), BitString.random(2, rng))
+        sk = SessionKeys.random(2, rng)
         digest = BitString(0, 4) ^ sk.xs
         bundle = SignatureBundle(BitString.random(8, rng), digest)
         assert receiver_verify(bundle, sk) is R
@@ -154,7 +155,7 @@ class TestArbitratorVerify:
 
     def test_packet_key_shape_validated(self):
         _, bundles, _, sk, bundle = honest_setup(n=16)
-        wrong = KeyBundle(BitString(0, 8), BitString(0, 4))
+        wrong = KeyBundle(0, 0, 4)
         with pytest.raises(ValueError):
             ForwardPacket("r1", bundle, wrong, sent_at=0)
 
@@ -240,8 +241,7 @@ class TestTimeoutForwardVerify:
 
     def test_fabricated_key_rejected(self):
         record, bundle, _ = self.closed_record()
-        fake = KeyBundle(BitString.random(16, Random(99)),
-                         BitString.random(8, Random(98)))
+        fake = KeyBundle(Random(99).getrandbits(16), Random(98).getrandbits(8), 8)
         assert timeout_forward_verify(record, "r1", bundle, fake) is False
 
     def test_modified_message_rejected(self):
@@ -272,11 +272,12 @@ class TestValueTypes:
         x, y = BitString.random(16, rng), BitString.random(8, rng)
         return {
             "BitString": lambda: BitString(message.value, 32),
-            "KeyBundle": lambda: KeyBundle(BitString(x.value, 16), y),
-            "SessionKeys": lambda: SessionKeys(BitString(x.value, 16), y),
+            "KeyBundle": lambda: KeyBundle(x.value, y.value, 8),
+            "SessionKeys": lambda: SessionKeys(x.value, y.value, 8),
             "SignatureBundle": lambda: SignatureBundle(message, signature),
             "ForwardPacket": lambda: ForwardPacket(
-                "r1", SignatureBundle(message, signature), KeyBundle(x, y), sent_at=3),
+                "r1", SignatureBundle(message, signature),
+                KeyBundle(x.value, y.value, 8), sent_at=3),
         }
 
     @pytest.mark.parametrize("name", ["BitString", "KeyBundle", "SessionKeys",
@@ -286,12 +287,11 @@ class TestValueTypes:
         a, b = build(), build()
         assert a is not b and a == b and hash(a) == hash(b)
         assert not a != b
-        for field in type(a).__slots__:
-            if field != "__weakref__":
-                with pytest.raises(AttributeError):
-                    setattr(a, field, getattr(a, field))
-                with pytest.raises(AttributeError):
-                    delattr(a, field)
+        for field in a._fields:
+            with pytest.raises(AttributeError):
+                setattr(a, field, getattr(a, field))
+            with pytest.raises(AttributeError):
+                delattr(a, field)
         with pytest.raises(AttributeError):
             a.extra = 1
         assert a == b
@@ -301,18 +301,18 @@ class TestValueTypes:
 
     def test_types_never_compare_equal(self):
         rng = Random(31)
-        x, y = BitString.random(16, rng), BitString.random(8, rng)
-        assert KeyBundle(x, y) != SessionKeys(x, y)
-        assert SessionKeys(x, y) != KeyBundle(x, y)
+        x, y = rng.getrandbits(16), rng.getrandbits(8)
+        assert KeyBundle(x, y, 8) != SessionKeys(x, y, 8)
+        assert SessionKeys(x, y, 8) != KeyBundle(x, y, 8)
         assert BitString(5, 8) != (5, 8) and (5, 8) != BitString(5, 8)
-        assert KeyBundle(x, y) != (x.value, y.value, 8)
+        assert KeyBundle(x, y, 8) != (x, y, 8)
 
     def test_unequal_fields_unequal_objects(self):
         rng = Random(32)
-        x, y = BitString.random(16, rng), BitString.random(8, rng)
+        x, y = rng.getrandbits(16), rng.getrandbits(8)
         assert BitString(5, 8) != BitString(5, 9)
-        assert KeyBundle(x, y) != KeyBundle(x, y.flip(0))
-        assert SessionKeys(x, y) != SessionKeys(x.flip(15), y)
+        assert KeyBundle(x, y, 8) != KeyBundle(x, y ^ 1, 8)
+        assert SessionKeys(x, y, 8) != SessionKeys(x ^ 1 << 15, y, 8)
 
     def test_bit_string_can_be_weakly_referenced(self):
         b = BitString(3, 2)
@@ -323,24 +323,25 @@ class TestValueTypes:
         assert ref() is None
 
     def test_key_bundle_halves_read_as_bit_strings(self):
-        kb = KeyBundle(BitString(0xBEEF, 16), BitString(0x5A, 8))
+        kb = KeyBundle(0xBEEF, 0x5A, 8)
         assert (kb.x, kb.y, kb.n) == (BitString(0xBEEF, 16), BitString(0x5A, 8), 8)
         assert (kb.x_value, kb.y_value) == (0xBEEF, 0x5A)
+        sk = SessionKeys(0xBEEF, 0x5A, 8)
+        assert (sk.xs, sk.ys, sk.n) == (kb.x, kb.y, 8)
+        assert sk._fields == ("x_value", "y_value", "n")
 
     @pytest.mark.parametrize("build,match", [
         (lambda: BitString(0, -1), "length must be non-negative"),
         (lambda: BitString(4, 2), "does not fit in 2 bits"),
         (lambda: BitString(-1, 2), "does not fit in 2 bits"),
-        (lambda: KeyBundle(BitString(0, 9), BitString(0, 4)),
-         "x must be exactly twice as long as y"),
-        (lambda: SessionKeys(BitString(0, 7), BitString(0, 4)),
-         "xs must be exactly twice as long as ys"),
+        (lambda: KeyBundle(1 << 8, 0, 4), "key halves must fit in 8 and 4 bits"),
+        (lambda: SessionKeys(0, 1 << 4, 4), "key halves must fit in 8 and 4 bits"),
         (lambda: SignatureBundle(BitString(0, 8), BitString(0, 2)),
          "signature length must be even and at least 4"),
         (lambda: SignatureBundle(BitString(0, 8), BitString(0, 5)),
          "signature length must be even and at least 4"),
         (lambda: ForwardPacket("r1", SignatureBundle(BitString(0, 8), BitString(0, 8)),
-                               KeyBundle(BitString(0, 6), BitString(0, 3)), sent_at=0),
+                               KeyBundle(0, 0, 3), sent_at=0),
          "key length inconsistent with signature length"),
     ])
     def test_constructor_errors(self, build, match):
@@ -398,8 +399,8 @@ class TestTagMemo:
             assert verdict is receiver_verify(bundle, sk)
 
     def test_same_message_with_flipped_tag_bit_rejected(self):
-        _, _, _, sk, bundle = honest_setup()
         memo = TagMemo()
+        _, _, _, sk, bundle = honest_setup(memo=memo)
         assert receiver_verify(bundle, sk, memo) is A
         entry = memo.entry
         assert entry[0] is bundle.message
@@ -409,12 +410,12 @@ class TestTagMemo:
             assert memo.entry is entry  # a hit: nothing was hashed afresh
 
     def test_same_message_under_another_seed_rejected(self):
-        _, _, _, sk, bundle = honest_setup()
         memo = TagMemo()
+        _, _, _, sk, bundle = honest_setup(memo=memo)
         tag, poly = signed_tag(bundle, sk)
         for bit in range(sk.n):
             assert receiver_verify(bundle, sk, memo) is A  # the memo holds sk's tag
-            other = SessionKeys(sk.xs, sk.ys.flip(bit))
+            other = SessionKeys(sk.x_value, sk.y_value ^ 1 << bit, sk.n)
             # the tag under the other seed really differs, so acceptance
             # could only come from a stale memo entry
             assert toeplitz_oracle(poly, other.ys, bundle.message) != tag
@@ -440,10 +441,25 @@ class TestTagMemo:
         assert message() is None
 
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_tampered_copy_leaves_the_signed_tag(self, monkeypatch, seed):
+        # r2's tampered copy is hashed afresh and writes nothing, so r3 and
+        # the arbitrator still verify off sign's tag: two kernel calls
+        hashed = []
+        monkeypatch.setattr(protocol, "_toeplitz_tag",
+                            lambda *a: hashed.append(a[2]) or _toeplitz_tag(*a))
+        script = AdversaryScript((Rule(action="tamper", kind="broadcast",
+                                       receiver="r2", positions=(0,)),))
+        t = run_round(Topology.fully_connected(3), SecurityParams.for_n(16, 64, 3),
+                      script, seed=seed)
+        assert t.outcomes == {"r1": A, "r2": R, "r3": A}
+        assert hashed == [t.record.message, t.record.message.flip(0)]
+
+
 class TestVerifyOffTheMemo:
     def test_every_signature_bit_flip_matches_fresh_verdict(self, monkeypatch):
-        _, _, _, sk, bundle = honest_setup(n=16)
         memo = TagMemo()
+        _, _, _, sk, bundle = honest_setup(n=16, memo=memo)
         decodes = []
         monkeypatch.setattr(protocol, "decode_poly",
                             lambda r, n: decodes.append(r) or decode_poly(r, n))
@@ -460,12 +476,12 @@ class TestVerifyOffTheMemo:
                 assert verdict is R
 
     def test_signature_wider_than_2n_bits_raises_on_a_memo_hit_too(self):
-        _, _, _, sk, bundle = honest_setup(n=16)
         memo = TagMemo()
+        _, _, _, sk, bundle = honest_setup(n=16, memo=memo)
         assert receiver_verify(bundle, sk, memo) is A  # the memo holds the bundle
         wide = bundle.signature.value | 1 << 2 * sk.n
         with pytest.raises(ValueError):
-            protocol.accepts(bundle.message, wide, sk.xs.value, sk.ys.value, sk.n,
+            protocol.accepts(bundle.message, wide, sk.x_value, sk.y_value, sk.n,
                              memo)
 
 
@@ -499,7 +515,7 @@ class TestAcceptsEqualsOracle:
            st.sampled_from(("genuine", "flipped", "random")))
     def test_verdict_with_and_without_memo(self, n, m, seed, kind):
         rng = Random(seed)
-        sk = SessionKeys(BitString.random(2 * n, rng), BitString.random(n, rng))
+        sk = SessionKeys.random(n, rng)
         message = BitString.random(m, rng)
         memo = TagMemo()
         signature = sign(message, sk, rng, memo).signature.value
@@ -507,7 +523,7 @@ class TestAcceptsEqualsOracle:
             signature ^= 1 << rng.randrange(2 * n)
         elif kind == "random":
             signature = rng.getrandbits(2 * n)
-        xs, ys = sk.xs.value, sk.ys.value
+        xs, ys = sk.x_value, sk.y_value
         want = oracle_accepts(message, signature, xs, ys, n)
         assert want or kind != "genuine"
         assert protocol.accepts(message, signature, xs, ys, n) == want
@@ -523,7 +539,7 @@ class TestAcceptsEqualsOracle:
         wide = bundle.signature.value | 1 << 2 * sk.n
         for memo in (None, TagMemo()):
             with pytest.raises(ValueError):
-                protocol.accepts(bundle.message, wide, sk.xs.value, sk.ys.value,
+                protocol.accepts(bundle.message, wide, sk.x_value, sk.y_value,
                                  sk.n, memo)
 
     def test_empty_message_raises_once_the_encoding_decodes(self):
@@ -571,5 +587,5 @@ class TestIntCoreExhaustive:
                                  and toeplitz_oracle(poly, seed, message) == tag) else R
                     for xs in range(1 << 2 * n):
                         bundle = SignatureBundle(message, BitString(xs ^ plain, 2 * n))
-                        sk = SessionKeys(BitString(xs, 2 * n), seed)
+                        sk = SessionKeys(xs, ys, n)
                         assert receiver_verify(bundle, sk) is want, (bundle, sk)
