@@ -309,11 +309,14 @@ def _is_irreducible_value(v: int) -> bool:
     irreducible factor of v divides the product only if it divides one of
     its factors b + x.  A product that reaches 0 leaves gcd v, a reject.
 
-    ``poly_is_irreducible``, the sampler's and decoder's one test, rejects
-    the factors x and x + 1 in O(1) first, so the cache holds only values
-    that need the sieve.  A degree-n value that passes both parity checks
-    is one of 2^(n-2), so the 2^15 entries hold the verdicts of any one
-    degree up to 17 without eviction, not of all those degrees together.
+    ``__wrapped__`` is the uncached test.  ``poly_is_irreducible``, the
+    sampler's and decoder's one test, rejects the factors x and x + 1 in
+    O(1) first and sends only values of degree <= 2 _SIEVE_DEG + 1 = 17,
+    those the sieve alone decides, through the cache.  There a degree has
+    2^(n-2) <= 2^15 parity survivors, so the cache holds the verdicts of
+    any one such degree without eviction, and a small degree's verdicts
+    repeat.  A larger draw almost never comes up twice, so its verdict
+    would be dead memory that evicts the ones that do repeat.
     """
     if v < 2:  # v = 1 is the one value below degree 2 that passes both parities
         raise ValueError(f"the irreducibility test needs degree >= 2, got v={v}")
@@ -362,17 +365,20 @@ def poly_is_irreducible(v: int) -> bool:
     """Is the polynomial v of degree >= 2 irreducible?
 
     v(0) = 0 (a factor x) and v(1) = 0 (an even number of terms, a factor
-    x + 1) reject at once; what is left goes to the cached ladder
-    ``_is_irreducible_value``.  The one irreducibility test, and the one
-    owner of the parity checks.  Below degree 2 (v < 4) it raises
-    ValueError, in the parity branch or, for v = 1, in the ladder.
+    x + 1) reject at once; what is left goes to ``_is_irreducible_value``,
+    through its cache up to degree 2 _SIEVE_DEG + 1 = 17 and past it
+    uncached.  The one irreducibility test, and the one owner of the
+    parity checks.  Below degree 2 (v < 4) it raises ValueError, in the
+    parity branch or, for v = 1, in the test.
     """
     if not v & 1 or not v.bit_count() & 1:
-        # 0, x and x + 1 end here and 1 in the ladder on a cache miss, so an
+        # 0, x and x + 1 end here and 1 in the test on a cache miss, so an
         # accepted or cached test pays nothing for the degree check
         if v < 4:
             raise ValueError(f"the irreducibility test needs degree >= 2, got v={v}")
         return False  # v(0) = 0 or v(1) = 0: a factor x or x + 1
+    if v >> 2 * _SIEVE_DEG + 2:  # degree >= 18: its verdict will not repeat
+        return _is_irreducible_value.__wrapped__(v)
     return _is_irreducible_value(v)
 
 

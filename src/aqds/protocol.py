@@ -75,9 +75,12 @@ class TagMemo:
 
     In a round, the signer, every receiver and the arbitrator tag the same
     message object under the same keys, so ``sign`` records its tag here
-    and ``accepts`` reuses it; a copy that misses it is hashed afresh and
-    leaves it as it is.  The memo dies with the round; callers that pass
-    none hash every time.
+    and ``accepts`` reuses it.  The polynomial came from
+    ``sample_irreducible``, so it also vouches for any copy that carries
+    it: such a copy skips the decode, even when its message or seed
+    differs and it is hashed afresh.  A copy that misses leaves the memo as
+    it is.  The memo dies with the round; callers that pass none decode
+    and hash every time.
     """
 
     entry: tuple[BitString, int, int, int] | None = None
@@ -107,22 +110,26 @@ def accepts(message: BitString, signature: int, xs: int, ys: int, n: int,
 
     Strips the pad xs, decodes the upper n bits as the polynomial (a
     reducible decode rejects) and compares the lower n bits with the tag
-    of ``message`` under (polynomial, ys).  The ``memo`` entry of ``sign``
-    for the same message object, polynomial and seed skips the decode and
-    the hash, exactly: the message is matched by identity, which is exact
-    because a ``BitString`` never changes, and the entry's polynomial came
-    from ``sample_irreducible``, so the decode it skips would succeed.  A
-    miss hashes and writes nothing.  Int arguments let attack trials skip
-    key objects.
+    of ``message`` under (polynomial, ys).  Upper bits that equal the
+    ``memo`` entry's polynomial skip the decode, exactly: ``sign`` drew
+    that polynomial with ``sample_irreducible``, so the decode would
+    succeed.  For the same message object and seed too, the entry's tag
+    also skips the hash: the message is matched by identity, which is
+    exact because a ``BitString`` never changes.  Otherwise it hashes, and
+    it writes nothing.  Int arguments let attack trials skip key objects.
     """
     plain = xs ^ signature
+    tag = plain & ((1 << n) - 1)
     last = memo and memo.entry
-    if (last and last[0] is message and not plain >> 2 * n
-            and last[1:3] == (plain >> n | 1 << n, ys)):
-        return last[3] == plain & ((1 << n) - 1)
-    poly = decode_poly(plain >> n, n)
-    return (poly is not None
-            and _toeplitz_tag(poly, ys, message) == plain & ((1 << n) - 1))
+    if last and not plain >> 2 * n and plain >> n | 1 << n == last[1]:
+        if last[0] is message and last[2] == ys:
+            return last[3] == tag
+        poly = last[1]  # the signed polynomial: irreducible
+    else:
+        poly = decode_poly(plain >> n, n)
+        if poly is None:
+            return False
+    return _toeplitz_tag(poly, ys, message) == tag
 
 
 def receiver_verify(bundle: SignatureBundle, sk: SessionKeys,

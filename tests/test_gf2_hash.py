@@ -311,10 +311,16 @@ class TestSmallFactorSieve:
             assert ben_or(sample_irreducible(n, rng))
 
 
-class TestIrreducibleCache:
-    """Only draws that need the ladder reach ``_is_irreducible_value``."""
+# the widest degree whose verdicts go through the cache: the sieve alone
+# decides it, and it has at most 2^15 parity survivors
+CACHED_DEG = 2 * _SIEVE_DEG + 1
 
-    @pytest.mark.parametrize("n, seed", [(16, 13), (82, 5)])
+
+class TestIrreducibleCache:
+    """Only parity survivors of degree <= 17 reach the cache of
+    ``_is_irreducible_value``."""
+
+    @pytest.mark.parametrize("n, seed", [(16, 13), (32, 9), (82, 5)])
     def test_sampler_caches_only_parity_survivors(self, n, seed):
         _is_irreducible_value.cache_clear()
         p = sample_irreducible(n, Random(seed))
@@ -328,7 +334,34 @@ class TestIrreducibleCache:
                 survivors.add(v)
             if v == p:
                 break
-        assert _is_irreducible_value.cache_info().currsize == len(survivors)
+        cached = _is_irreducible_value.cache_info().currsize
+        if n <= CACHED_DEG:
+            assert cached == len(survivors)
+        else:  # tested, uncached: a draw this wide almost never repeats
+            assert len(survivors) > 1 and cached == 0
+
+    def test_many_wide_samples_leave_the_cache_empty(self):
+        _is_irreducible_value.cache_clear()
+        rng = Random(32)
+        assert all(ben_or(sample_irreducible(32, rng)) for _ in range(200))
+        assert _is_irreducible_value.cache_info().currsize == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 40), st.integers(0, 2**32))
+    # the widest cached degree and the narrowest uncached one
+    @example(CACHED_DEG, 0)
+    @example(CACHED_DEG + 1, 1)
+    def test_cold_and_warm_verdicts_equal_textbook_ben_or(self, degree, seed):
+        v = random_monic(degree, Random(seed))
+        # its parity survivor twin: an odd constant term and an odd weight
+        survivor = v | 1
+        survivor ^= 0 if survivor.bit_count() & 1 else 2
+        for w in (v, survivor):
+            _is_irreducible_value.cache_clear()
+            want = ben_or(w)
+            assert poly_is_irreducible(w) == want  # cold
+            assert poly_is_irreducible(w) == want  # warm
+        assert _is_irreducible_value.cache_info().currsize == (degree <= CACHED_DEG)
 
     def test_accepted_polynomials_are_pinned(self):
         # the sampler's draws and verdicts, so also its output, are fixed

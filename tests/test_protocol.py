@@ -456,6 +456,32 @@ class TestTagMemo:
         assert hashed == [t.record.message, t.record.message.flip(0)]
 
 
+class TestMemoVouchesForThePolynomial:
+    """A copy that carries the signed polynomial skips the decode."""
+
+    @staticmethod
+    def round_decodes(monkeypatch, seed, target, position):
+        decodes = []
+        monkeypatch.setattr(protocol, "decode_poly",
+                            lambda r, n: decodes.append(r) or decode_poly(r, n))
+        script = AdversaryScript((Rule(action="tamper", kind="broadcast",
+                                       receiver="r2", target=target,
+                                       positions=(position,)),))
+        t = run_round(Topology.fully_connected(3), SecurityParams.for_n(32, 64, 3),
+                      script, seed=seed)
+        assert t.outcomes == {"r1": A, "r2": R, "r3": A}
+        return decodes
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_tampered_message_is_hashed_but_not_decoded(self, monkeypatch, seed):
+        assert self.round_decodes(monkeypatch, seed, "message", 0) == []
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_tampered_polynomial_is_decoded(self, monkeypatch, seed):
+        # signature bit n is the polynomial's x^0 coefficient
+        assert len(self.round_decodes(monkeypatch, seed, "signature", 32)) == 1
+
+
 class TestVerifyOffTheMemo:
     def test_every_signature_bit_flip_matches_fresh_verdict(self, monkeypatch):
         memo = TagMemo()
@@ -526,6 +552,29 @@ class TestAcceptsEqualsOracle:
         xs, ys = sk.x_value, sk.y_value
         want = oracle_accepts(message, signature, xs, ys, n)
         assert want or kind != "genuine"
+        assert protocol.accepts(message, signature, xs, ys, n) == want
+        assert protocol.accepts(message, signature, xs, ys, n, memo) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(18, 40), st.integers(1, 96), st.integers(0, 2**32),
+           st.sampled_from(("copy", "message", "signature")))
+    def test_flipped_copy_with_and_without_memo(self, n, m, seed, kind):
+        # past the cached degrees: a copy with the signed polynomial reads
+        # it off the memo, and any other decodes
+        rng = Random(seed)
+        sk = SessionKeys.random(n, rng)
+        message = BitString.random(m, rng)
+        memo = TagMemo()
+        signature = sign(message, sk, rng, memo).signature.value
+        if kind == "copy":  # an equal-valued distinct object
+            message = BitString(message.value, m)
+        elif kind == "message":
+            message = message.flip(rng.randrange(m))
+        else:
+            signature ^= 1 << rng.randrange(2 * n)
+        xs, ys = sk.x_value, sk.y_value
+        want = oracle_accepts(message, signature, xs, ys, n)
+        assert want or kind != "copy"
         assert protocol.accepts(message, signature, xs, ys, n) == want
         assert protocol.accepts(message, signature, xs, ys, n, memo) == want
 
