@@ -85,14 +85,16 @@ class Event(NamedTuple):
     """A queued event; as a tuple it orders by (at, kind, sender, seq).
 
     ``seq`` is unique per queue, so a comparison never reaches ``receiver``
-    or ``payload``.
+    or ``payload``.  A multicast -- one transmission to several receivers --
+    is one event with ``receiver`` None and payload ``(kind, copies)``, where
+    ``copies`` lists ``(receiver, body)`` in receiver order.
     """
 
     at: int
     kind: EventKind
     sender: str
     seq: int
-    receiver: str
+    receiver: str | None
     payload: object
 
 
@@ -101,13 +103,18 @@ _new_event = tuple.__new__  # skips the Python-level ``Event.__new__``
 
 
 class EventQueue:
-    """Min-heap of events under the (time, kind, sender, seq) total order."""
+    """Min-heap of events under the (time, kind, sender, seq) total order.
+
+    A multicast event stands for copies that would otherwise be queued
+    back to back under consecutive seqs: nothing else can order between
+    them, so one event carries them all.
+    """
 
     def __init__(self) -> None:
         self._heap: list[Event] = []
         self._next_seq = 0
 
-    def push(self, at: int, kind: EventKind, sender: str, receiver: str,
+    def push(self, at: int, kind: EventKind, sender: str, receiver: str | None,
              payload: object) -> Event:
         ev = _new_event(Event, (at, kind, sender, self._next_seq, receiver, payload))
         self._next_seq += 1
@@ -398,13 +405,23 @@ class _RoundRunner:
         self.closed = False
 
     def run(self) -> Transcript:
-        # a delivery's payload is (kind, body); handlers push their sends
-        # straight onto the queue
+        """Play the round out; one record and one handler call per copy.
+
+        A delivery's payload is (kind, body), or (kind, copies) for a
+        multicast, whose receiver is None.  The signer's broadcast is one
+        multicast per arrival time and the key release one multicast; each
+        copy of a multicast still gets its own record, in receiver order.
+        Handlers push their sends straight onto the queue, at ``at + 1`` or
+        later, so none can come between the copies of a multicast.
+        """
         queue = self.queue
+        arrivals: dict[int, list[tuple[str, SignatureBundle]]] = {}
         for rid in self.top.receiver_ids:
             out, extra = self.script.apply("broadcast", SIGNER, rid, self.bundle)
             if out is not None:
-                queue.push(1 + extra, _DELIVER, SIGNER, rid, ("broadcast", out))
+                arrivals.setdefault(1 + extra, []).append((rid, out))
+        for at, copies in arrivals.items():
+            queue.push(at, _DELIVER, SIGNER, None, ("broadcast", copies))
         queue.push(self.top.deadline, EventKind.DEADLINE_FIRE,
                    ARBITRATOR, ARBITRATOR, None)
         records = self.records
@@ -413,8 +430,13 @@ class _RoundRunner:
             if ev_kind is _DELIVER:
                 kind, body = payload
                 event, handler = _DISPATCH[kind]
-                records.append((event, sender, receiver, at, kind, body))
-                handler(self, at, sender, receiver, body)
+                if receiver is None:
+                    for receiver, body in body:
+                        records.append((event, sender, receiver, at, kind, body))
+                        handler(self, at, sender, receiver, body)
+                else:
+                    records.append((event, sender, receiver, at, kind, body))
+                    handler(self, at, sender, receiver, body)
             else:
                 records.append(("deadline", sender, receiver, at, "deadline", None))
                 self._on_deadline(at)
@@ -473,10 +495,11 @@ class _RoundRunner:
             if self.record.verdicts.get(rid) is VerificationOutcome.TIMED_OUT:
                 self.records.append(("verdict", ARBITRATOR, rid, now, "verdict",
                                      VerificationOutcome.TIMED_OUT))
-        release = ("key-release", session)
-        for rid in self.top.receiver_ids:
-            if rid in self.packets:
-                self.queue.push(now + 1, _DELIVER, ARBITRATOR, rid, release)
+        copies = [(rid, session) for rid in self.top.receiver_ids
+                  if rid in self.packets]
+        if copies:  # an empty multicast would still move the claims' time
+            self.queue.push(now + 1, _DELIVER, ARBITRATOR, None,
+                            ("key-release", copies))
 
     def _on_key_release(self, at: int, sender: str, rid: str,
                         session: SessionKeys) -> None:

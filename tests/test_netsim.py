@@ -5,10 +5,10 @@ import hashlib
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aqds import netsim
+from aqds import netsim, protocol
 from aqds.config import ConfigurationError
 from aqds.gf2_hash import BitString
 from aqds.keymat import SecurityParams, link_bits, total_consumption
@@ -575,26 +575,182 @@ class TestRenderPin:
             "dddbae67f4ec726b16bc27353153b72d36ab7185989b3c88fb6d74534a7b7e1e")
 
 
+def count_queue_calls(monkeypatch):
+    """Patch ``EventQueue.push`` and ``.advance`` to count their calls, and
+    the pushes per delivery kind (a deadline counts as "deadline")."""
+    calls = {"push": 0, "advance": 0}
+    pushed = {}
+    push, advance = EventQueue.push, EventQueue.advance
+
+    def counted_push(self, at, kind, sender, receiver, payload):
+        calls["push"] += 1
+        name = "deadline" if payload is None else payload[0]
+        pushed[name] = pushed.get(name, 0) + 1
+        return push(self, at, kind, sender, receiver, payload)
+
+    def counted_advance(self):
+        calls["advance"] += 1
+        return advance(self)
+
+    monkeypatch.setattr(EventQueue, "push", counted_push)
+    monkeypatch.setattr(EventQueue, "advance", counted_advance)
+    return calls, pushed
+
+
 class TestQueueRouting:
     """Every event of a round is pushed through ``EventQueue.push`` and popped
     through ``EventQueue.advance``, the names the benchmark's tracer counts
     as queue pushes and events."""
 
     def test_fanout_round_routes_every_event_through_the_queue(self, monkeypatch):
-        calls = {"push": 0, "advance": 0}
-        for name in calls:
-            method = getattr(EventQueue, name)
-
-            def counted(self, *args, _name=name, _method=method):
-                calls[_name] += 1
-                return _method(self, *args)
-
-            monkeypatch.setattr(EventQueue, name, counted)
+        calls, pushed = count_queue_calls(monkeypatch)
         t = pin_round("fanout", seed=3)
-        # 100 broadcasts, the deadline, 90 forwards on time and 10 late,
-        # the key request and response, 90 key releases and 90 announcements
-        assert calls == {"push": 383, "advance": 383}
+        # the broadcast multicast, the deadline, 90 forwards on time and 10
+        # late, the key request and response, the key-release multicast and
+        # 90 announcements
+        assert calls == {"push": 195, "advance": 195}
+        assert pushed["broadcast"] == pushed["key-release"] == 1
+        # one record per copy: 100 broadcasts and 90 key releases
         assert len(t.records) == 383 + 90 + 10 + 10  # verdicts and claims
+
+    def test_one_broadcast_event_per_arrival_time(self, monkeypatch):
+        _, pushed = count_queue_calls(monkeypatch)
+        script = AdversaryScript(tuple(
+            Rule(action="delay", kind="broadcast", receiver=rid, delta=2)
+            for rid in ("r2", "r4")))
+        t = run_round(Topology.fully_connected(4), SEC4, script, seed=1)
+        assert pushed["broadcast"] == 2
+        assert pushed["key-release"] == 1
+        assert [(r[2], r[3]) for r in t.records if r[4] == "broadcast"] == [
+            ("r1", 1), ("r3", 1), ("r2", 3), ("r4", 3)]
+        assert [r[2] for r in t.records if r[4] == "key-release"] == [
+            "r1", "r2", "r3", "r4"]
+        assert set(t.outcomes.values()) == {A}
+
+
+class PerCopyRunner(netsim._RoundRunner):
+    """The delivery-order reference: the round as run with one queue event per
+    broadcast copy and per key release, each copy under its own seq."""
+
+    def run(self):
+        queue = self.queue
+        for rid in self.top.receiver_ids:
+            out, extra = self.script.apply("broadcast", netsim.SIGNER, rid, self.bundle)
+            if out is not None:
+                queue.push(1 + extra, EventKind.DELIVER, netsim.SIGNER, rid,
+                           ("broadcast", out))
+        queue.push(self.top.deadline, EventKind.DEADLINE_FIRE,
+                   netsim.ARBITRATOR, netsim.ARBITRATOR, None)
+        while queue:
+            at, ev_kind, sender, _, receiver, payload = queue.advance()
+            if ev_kind is EventKind.DELIVER:
+                kind, body = payload
+                event, handler = netsim._DISPATCH[kind]
+                self.records.append((event, sender, receiver, at, kind, body))
+                handler(self, at, sender, receiver, body)
+            else:
+                self.records.append(("deadline", sender, receiver, at, "deadline", None))
+                self._on_deadline(at)
+        self._claims(at + 1)
+        return netsim.Transcript(
+            security=self.sec, records=self.records,
+            outcomes={r: self.record.verdicts[r] for r in self.top.receiver_ids},
+            announcements=dict(self.announcements), timeout_claims=self.claims,
+            record=self.record, signer_keys=self.signer_sk,
+            session_keys=self.session)
+
+    def _finish_close(self, now, fetched):
+        self.session = protocol.arbitrator_close_round(
+            self.record, list(self.packets.values()), now, fetched)
+        for rid in self.top.receiver_ids:
+            if self.record.verdicts.get(rid) is VerificationOutcome.TIMED_OUT:
+                self.records.append(("verdict", netsim.ARBITRATOR, rid, now, "verdict",
+                                     VerificationOutcome.TIMED_OUT))
+        for rid in self.top.receiver_ids:
+            if rid in self.packets:
+                self.queue.push(now + 1, EventKind.DELIVER, netsim.ARBITRATOR, rid,
+                                ("key-release", self.session))
+
+
+@st.composite
+def scripted_rounds(draw, max_k, max_deadline, max_rules):
+    """(topology, security, script, seed) with rules of every action on both
+    kinds.  Receiver ids come in a drawn order, so receiver order is not
+    name order, and delays reach two past the deadline: a broadcast delayed
+    by deadline + 1 arrives with the key response."""
+    k = draw(st.integers(1, max_k))
+    deadline = draw(st.integers(1, max_deadline))
+    rids = tuple(draw(st.permutations([f"r{i}" for i in range(1, k + 1)])))
+    sec = SecurityParams.for_n(8, 32, k)  # 32-bit messages, 16-bit signatures
+    rules = []
+    for _ in range(draw(st.integers(0, max_rules))):
+        action = draw(st.sampled_from(("tamper", "delay", "drop", "replace")))
+        kind = draw(st.sampled_from(("broadcast", "forward", None)))
+        node = draw(st.sampled_from((None, *rids)))
+        link = "sender" if kind == "forward" else "receiver"
+        target = draw(st.sampled_from(("message", "signature")))
+        kwargs = {"action": action, "kind": kind, link: node, "target": target}
+        if action == "tamper":
+            kwargs["positions"] = tuple(draw(st.lists(st.integers(0, 40),
+                                                      min_size=1, max_size=3)))
+        elif action == "delay":
+            kwargs["delta"] = draw(st.integers(0, deadline + 2))
+        elif action == "replace":
+            width = 4 if target == "message" else 2
+            kwargs["payload_hex"] = draw(st.binary(min_size=width,
+                                                   max_size=width)).hex()
+        rules.append(Rule(**kwargs))
+    return (Topology(rids, deadline=deadline), sec, AdversaryScript(tuple(rules)),
+            draw(st.integers(0, 2**16)))
+
+
+def assert_same_as_per_copy(case):
+    topology, sec, script, seed = case
+    got = run_round(topology, sec, script, seed)
+    want = PerCopyRunner(topology, sec, script, seed).run()
+    assert got.records == want.records
+    assert got.render() == want.render()
+    assert got.outcomes == want.outcomes
+    assert got.announcements == want.announcements
+    assert got.timeout_claims == want.timeout_claims
+
+
+def delayed(kind, rid, delta):
+    link = "sender" if kind == "forward" else "receiver"
+    return Rule(action="delay", kind=kind, delta=delta, **{link: rid})
+
+
+class TestMulticastDelivery:
+    """A multicast event delivers its copies exactly where the per-copy
+    events of ``PerCopyRunner`` would have: same records, same transcript."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(scripted_rounds(max_k=6, max_deadline=12, max_rules=6))
+    @example((Topology(("r3", "r1", "r2", "r4"), 10), SecurityParams.for_n(8, 32, 4),
+              AdversaryScript((delayed("broadcast", "r1", 2),
+                               delayed("broadcast", "r4", 2))), 1))
+    @example((Topology(("r2", "r1", "r3"), 5), SecurityParams.for_n(8, 32, 3),
+              AdversaryScript((delayed("broadcast", "r1", 6),
+                               delayed("forward", "r3", 6),
+                               Rule(action="drop", kind="broadcast", receiver="r2"))),
+              2))
+    def test_matches_per_copy_delivery(self, case):
+        assert_same_as_per_copy(case)
+
+    def test_delayed_broadcast_lands_on_the_key_response(self):
+        # r1's broadcast arrives at deadline + 2 with the key response, which
+        # the signer queued later, so the broadcast is delivered first
+        case = (Topology.fully_connected(3, deadline=5), SecurityParams.for_n(8, 32, 3),
+                AdversaryScript((delayed("broadcast", "r1", 6),)), 4)
+        assert_same_as_per_copy(case)
+        at_seven = [r[0] for r in run_round(*case).records if r[3] == 7]
+        assert at_seven == ["deliver:broadcast", "deliver:key-response", "verdict"]
+
+    @pytest.mark.slow
+    @settings(max_examples=3000, deadline=None)
+    @given(scripted_rounds(max_k=12, max_deadline=16, max_rules=10))
+    def test_matches_per_copy_delivery_wide(self, case):
+        assert_same_as_per_copy(case)
 
 
 class TestLazyTranscript:
