@@ -16,7 +16,6 @@ import io
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 from random import Random
 
@@ -294,22 +293,10 @@ def cmd_consumption(args) -> int:
     return EXIT_OK
 
 
-def _source_params(args) -> qkd_model.SourceParams:
+def cmd_curve(args) -> int:
+    # infeasible distances are flagged per row rather than failing the sweep
     params = (qkd_model.load_source_params(args.params) if args.params
               else qkd_model.SourceParams())
-    overrides = {}
-    if args.q_sift is not None:
-        overrides["q_sift"] = args.q_sift
-    if args.f_ec is not None:
-        overrides["f_ec"] = args.f_ec
-    flags = " ".join(f"--{key.replace('_', '-')}" for key in overrides)
-    return checked(f"bad {flags}: ", replace, params, **overrides)
-
-
-def cmd_curve(args) -> int:
-    # rate-curve and time-curve share columns; infeasible distances are
-    # flagged per row rather than failing the sweep
-    params = _source_params(args)
     m_bits = 8 * args.message_bytes
     rows = []
     for d in args.distance_km:
@@ -399,19 +386,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_consumption)
 
-    for name, helptext in (("rate-curve", "secure key rate versus distance"),
-                           ("time-curve", "per-round signing time versus distance")):
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--params", default=None, help="source parameter file (INI)")
-        p.add_argument("--distance-km", type=_parse_range,
-                       default=_parse_range("0:400:20"),
-                       help="comma list or start:stop:step")
-        p.add_argument("--q-sift", type=float, default=None)
-        p.add_argument("--f-ec", type=float, default=None)
-        p.add_argument("--message-bytes", type=_parse_size, default=1 << 20)
-        p.add_argument("--epsilon", type=_epsilon, default=1e-20)
-        _add_common(p)
-        p.set_defaults(func=cmd_curve)
+    p = sub.add_parser("time-curve",
+                       help="secure key rate and per-round signing time versus distance")
+    p.add_argument("--params", default=None, help="source parameter file (INI)")
+    p.add_argument("--distance-km", type=_parse_range, default=_parse_range("0:400:20"),
+                   help="comma list or start:stop:step")
+    p.add_argument("--message-bytes", type=_parse_size, default=1 << 20)
+    p.add_argument("--epsilon", type=_epsilon, default=1e-20)
+    _add_common(p)
+    p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("scenario", help="supported rounds on a stored network")
     p.add_argument("--keys", default=None, help="link key stocks (INI)")

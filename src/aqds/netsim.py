@@ -82,20 +82,19 @@ class EventKind(IntEnum):
 
 
 class Event(NamedTuple):
-    """A queued event; as a tuple it orders by (at, kind, sender, seq).
+    """One queued transmission; as a tuple it orders by (at, kind, sender, seq).
 
-    ``seq`` is unique per queue, so a comparison never reaches ``receiver``
-    or ``payload``.  A multicast -- one transmission to several receivers --
-    is one event with ``receiver`` None and payload ``(kind, copies)``, where
-    ``copies`` lists ``(receiver, body)`` in receiver order.
+    ``seq`` is unique per queue, so a comparison never reaches ``payload``,
+    which is ``(line kind, copies)``: ``copies`` lists the ``(receiver,
+    body)`` pairs in receiver order, one pair for a unicast.  The deadline
+    is one copy from the arbitrator to itself, with body None.
     """
 
     at: int
     kind: EventKind
     sender: str
     seq: int
-    receiver: str | None
-    payload: object
+    payload: tuple[str, object]
 
 
 _DELIVER = EventKind.DELIVER
@@ -103,20 +102,20 @@ _new_event = tuple.__new__  # skips the Python-level ``Event.__new__``
 
 
 class EventQueue:
-    """Min-heap of events under the (time, kind, sender, seq) total order.
+    """Min-heap of transmissions under the (time, kind, sender, seq) total order.
 
-    A multicast event stands for copies that would otherwise be queued
-    back to back under consecutive seqs: nothing else can order between
-    them, so one event carries them all.
+    A transmission to several receivers stands for copies that would
+    otherwise be queued back to back under consecutive seqs: nothing else
+    can order between them, so one event carries them all.
     """
 
     def __init__(self) -> None:
         self._heap: list[Event] = []
         self._next_seq = 0
 
-    def push(self, at: int, kind: EventKind, sender: str, receiver: str | None,
-             payload: object) -> Event:
-        ev = _new_event(Event, (at, kind, sender, self._next_seq, receiver, payload))
+    def push(self, at: int, kind: EventKind, sender: str,
+             payload: tuple[str, object]) -> Event:
+        ev = _new_event(Event, (at, kind, sender, self._next_seq, payload))
         self._next_seq += 1
         heapq.heappush(self._heap, ev)
         return ev
@@ -147,8 +146,8 @@ def _digest(text: str) -> str:
 
 
 # A record is one transcript line as plain data:
-# (event, sender, receiver, at, kind, body).  Each text below builds a
-# line's text from (sender, receiver, body); ``text_of`` gives a bundle's text.
+# (sender, receiver, at, kind, body).  Each text below builds a line's text
+# from (sender, receiver, body); ``text_of`` gives a bundle's text.
 
 def _broadcast_text(sender, receiver, bundle: SignatureBundle, text_of) -> str:
     return f"broadcast[{text_of(bundle)}]"
@@ -191,14 +190,20 @@ def _claim_text(sender, receiver, claim: tuple[SignatureBundle, bool],
     return f"claim[{sender}:{text_of(claim[0])}:{claim[1]}]"
 
 
-_TEXTS = {
-    "broadcast": _broadcast_text, "forward": _forward_text,
-    "deadline": _deadline_text, "key-request": _key_request_text,
-    "key-response": _key_response_text, "key-release": _key_release_text,
-    "announce": _announce_text, "verdict": _verdict_text, "claim": _claim_text,
+# line kind -> (transcript event name, text, by_body): the one place a line
+# is named and given its text; a by_body text is a function of the body
+# alone, so the lines that carry one body object share one digest
+_LINES = {
+    "broadcast": ("deliver:broadcast", _broadcast_text, True),
+    "forward": ("deliver:forward", _forward_text, False),
+    "key-request": ("deliver:key-request", _key_request_text, False),
+    "key-response": ("deliver:key-response", _key_response_text, False),
+    "key-release": ("deliver:key-release", _key_release_text, True),
+    "announce": ("deliver:announce", _announce_text, False),
+    "deadline": ("deadline", _deadline_text, False),
+    "verdict": ("verdict", _verdict_text, False),
+    "claim": ("timeout-claim", _claim_text, False),
 }
-# kinds whose text is a function of the body alone: one digest per body object
-_BODY_TEXTS = ("broadcast", "key-release")
 
 
 def _render_lines(records: list[tuple]) -> list[str]:
@@ -218,11 +223,12 @@ def _render_lines(records: list[tuple]) -> list[str]:
         return text
 
     lines = []
-    for event, sender, receiver, at, kind, body in records:
-        digest = shared.get(id(body)) if kind in _BODY_TEXTS else None
+    for sender, receiver, at, kind, body in records:
+        event, text, by_body = _LINES[kind]
+        digest = shared.get(id(body)) if by_body else None
         if digest is None:
-            digest = _digest(_TEXTS[kind](sender, receiver, body, text_of))
-            if kind in _BODY_TEXTS:
+            digest = _digest(text(sender, receiver, body, text_of))
+            if by_body:
                 shared[id(body)] = digest
         # the leading 0 is the round number the golden transcripts fix
         lines.append(f"0 {event} {sender} {receiver} {at} {digest}")
@@ -402,17 +408,16 @@ class _RoundRunner:
         self.packets: dict[str, ForwardPacket] = {}
         self.announcements: dict[str, VerificationOutcome] = {}
         self.session: SessionKeys | None = None
-        self.closed = False
 
     def run(self) -> Transcript:
         """Play the round out; one record and one handler call per copy.
 
-        A delivery's payload is (kind, body), or (kind, copies) for a
-        multicast, whose receiver is None.  The signer's broadcast is one
-        multicast per arrival time and the key release one multicast; each
-        copy of a multicast still gets its own record, in receiver order.
-        Handlers push their sends straight onto the queue, at ``at + 1`` or
-        later, so none can come between the copies of a multicast.
+        Every event is one transmission, ``(kind, copies)``: the signer's
+        broadcast is one per arrival time, the key release one, and the
+        deadline one copy to the arbitrator itself.  Each copy gets its own
+        record, in receiver order.  Handlers push their sends straight onto
+        the queue, at ``at + 1`` or later, so none can come between the
+        copies of a transmission.
         """
         queue = self.queue
         arrivals: dict[int, list[tuple[str, SignatureBundle]]] = {}
@@ -421,25 +426,16 @@ class _RoundRunner:
             if out is not None:
                 arrivals.setdefault(1 + extra, []).append((rid, out))
         for at, copies in arrivals.items():
-            queue.push(at, _DELIVER, SIGNER, None, ("broadcast", copies))
-        queue.push(self.top.deadline, EventKind.DEADLINE_FIRE,
-                   ARBITRATOR, ARBITRATOR, None)
+            queue.push(at, _DELIVER, SIGNER, ("broadcast", copies))
+        queue.push(self.top.deadline, EventKind.DEADLINE_FIRE, ARBITRATOR,
+                   ("deadline", ((ARBITRATOR, None),)))
         records = self.records
         while queue:
-            at, ev_kind, sender, _, receiver, payload = queue.advance()
-            if ev_kind is _DELIVER:
-                kind, body = payload
-                event, handler = _DISPATCH[kind]
-                if receiver is None:
-                    for receiver, body in body:
-                        records.append((event, sender, receiver, at, kind, body))
-                        handler(self, at, sender, receiver, body)
-                else:
-                    records.append((event, sender, receiver, at, kind, body))
-                    handler(self, at, sender, receiver, body)
-            else:
-                records.append(("deadline", sender, receiver, at, "deadline", None))
-                self._on_deadline(at)
+            at, _, sender, _, (kind, copies) = queue.advance()
+            handler = _DISPATCH[kind]
+            for receiver, body in copies:
+                records.append((sender, receiver, at, kind, body))
+                handler(self, at, sender, receiver, body)
         # the deadline is always queued, and the heap pops events in time
         # order, so the claims come one unit after the last event
         self._claims(at + 1)
@@ -454,7 +450,7 @@ class _RoundRunner:
             session_keys=self.session,
         )
 
-    # a handler takes (at, sender, receiver, body) of one delivery
+    # a handler takes (at, sender, receiver, body) of one copy
 
     def _on_broadcast(self, at: int, sender: str, rid: str,
                       bundle: SignatureBundle) -> None:
@@ -462,50 +458,48 @@ class _RoundRunner:
         out, extra = self.script.apply("forward", rid, ARBITRATOR, bundle)
         if out is not None:
             packet = ForwardPacket(rid, out, self.link_keys[rid], sent_at=at)
-            self.queue.push(at + 1 + extra, _DELIVER, rid, ARBITRATOR,
-                            ("forward", packet))
+            self.queue.push(at + 1 + extra, _DELIVER, rid,
+                            ("forward", ((ARBITRATOR, packet),)))
 
-    def _on_forward(self, at: int, sender: str, receiver: str,
+    def _on_forward(self, at: int, rid: str, receiver: str,
                     packet: ForwardPacket) -> None:
-        if not self.closed and packet.receiver_id not in self.packets:
-            self.packets[packet.receiver_id] = packet
+        """Keep a forward that arrives before the deadline (one per receiver)."""
+        # at the deadline is late: the deadline pops first at its own time
+        if at < self.top.deadline:
+            self.packets[rid] = packet
 
-    def _on_deadline(self, now: int) -> None:
-        self.closed = True
+    def _on_deadline(self, at: int, sender: str, receiver: str, body: None) -> None:
         timeouts = tuple(r for r in self.top.receiver_ids if r not in self.packets)
         if timeouts:
-            self.queue.push(now + 1, _DELIVER, ARBITRATOR, SIGNER,
-                            ("key-request", timeouts))
+            self.queue.push(at + 1, _DELIVER, ARBITRATOR,
+                            ("key-request", ((SIGNER, timeouts),)))
         else:
-            self._finish_close(now, {})
+            self._on_key_response(at, sender, receiver, {})
 
     def _on_key_request(self, at: int, sender: str, receiver: str,
                         timeouts: tuple[str, ...]) -> None:
-        self.queue.push(at + 1, _DELIVER, SIGNER, ARBITRATOR,
-                        ("key-response", {r: self.link_keys[r] for r in timeouts}))
+        self.queue.push(at + 1, _DELIVER, SIGNER, ("key-response", (
+            (ARBITRATOR, {r: self.link_keys[r] for r in timeouts}),)))
 
     def _on_key_response(self, at: int, sender: str, receiver: str,
-                         keys: dict[str, KeyBundle]) -> None:
-        self._finish_close(at, keys)
-
-    def _finish_close(self, now: int, fetched: Mapping[str, KeyBundle]) -> None:
+                         fetched: Mapping[str, KeyBundle]) -> None:
+        """Close the round on the fetched keys, and release the session keys."""
         session = self.session = arbitrator_close_round(
-            self.record, list(self.packets.values()), now, fetched)
+            self.record, list(self.packets.values()), at, fetched)
         for rid in self.top.receiver_ids:
             if self.record.verdicts.get(rid) is VerificationOutcome.TIMED_OUT:
-                self.records.append(("verdict", ARBITRATOR, rid, now, "verdict",
+                self.records.append((ARBITRATOR, rid, at, "verdict",
                                      VerificationOutcome.TIMED_OUT))
         copies = [(rid, session) for rid in self.top.receiver_ids
                   if rid in self.packets]
-        if copies:  # an empty multicast would still move the claims' time
-            self.queue.push(now + 1, _DELIVER, ARBITRATOR, None,
-                            ("key-release", copies))
+        if copies:  # an empty transmission would still move the claims' time
+            self.queue.push(at + 1, _DELIVER, ARBITRATOR, ("key-release", copies))
 
     def _on_key_release(self, at: int, sender: str, rid: str,
                         session: SessionKeys) -> None:
         verdict = receiver_verify(self.receiver_copy[rid], session, self.memo)
         self.announcements[rid] = verdict
-        self.queue.push(at + 1, _DELIVER, rid, ARBITRATOR, ("announce", verdict))
+        self.queue.push(at + 1, _DELIVER, rid, ("announce", ((ARBITRATOR, verdict),)))
 
     def _on_announce(self, at: int, rid: str, receiver: str,
                      verdict: VerificationOutcome) -> None:
@@ -517,7 +511,7 @@ class _RoundRunner:
         else:
             outcome = VerificationOutcome.REJECTED
         self.record.verdicts[rid] = outcome
-        self.records.append(("verdict", ARBITRATOR, rid, at, "verdict", outcome))
+        self.records.append((ARBITRATOR, rid, at, "verdict", outcome))
 
     def _claims(self, at: int) -> None:
         self.claims: dict[str, bool] = {}
@@ -527,15 +521,13 @@ class _RoundRunner:
                 bundle = self.receiver_copy[rid]
                 ok = timeout_forward_verify(self.record, rid, bundle, self.link_keys[rid])
                 self.claims[rid] = ok
-                self.records.append(("timeout-claim", rid, ARBITRATOR, at, "claim",
-                                     (bundle, ok)))
+                self.records.append((rid, ARBITRATOR, at, "claim", (bundle, ok)))
 
 
-# delivery kind -> (transcript event name, handler), resolved once
-_DISPATCH = {kind: ("deliver:" + kind,
-                    getattr(_RoundRunner, "_on_" + kind.replace("-", "_")))
-             for kind in ("broadcast", "forward", "key-request", "key-response",
-                          "key-release", "announce")}
+# transmission kind -> handler, resolved once
+_DISPATCH = {kind: getattr(_RoundRunner, "_on_" + kind.replace("-", "_"))
+             for kind in ("broadcast", "forward", "deadline", "key-request",
+                          "key-response", "key-release", "announce")}
 
 
 def run_round(topology: Topology, security: SecurityParams,

@@ -138,7 +138,7 @@ class TestConsumption:
 
 class TestCurves:
     def test_rate_curve(self, capsys):
-        code, out = run_cli(capsys, "rate-curve", "--distance-km", "0,100,200")
+        code, out = run_cli(capsys, "time-curve", "--distance-km", "0,100,200")
         assert code == EXIT_OK
         lines = out.strip().splitlines()
         assert lines[0] == "distance_km,rate_bps,seconds"
@@ -257,11 +257,13 @@ class TestOutputHandling:
             main(["consumption", "--frobnicate"])
         assert exc.value.code == 2
 
-    # the planners draw nothing, their source defaults are Table 1 and the
-    # stored scenarios come from --keys or the eight-user network
+    # the planners draw nothing, their source defaults are Table 1, the
+    # stored scenarios come from --keys or the eight-user network, and the
+    # source parameters come from --params alone
     @pytest.mark.parametrize("argv", [["consumption", "--seed", "1"],
-                                      ["rate-curve", "--preset", "table1"],
-                                      ["scenario", "--name", "eight-user"]])
+                                      ["time-curve", "--preset", "table1"],
+                                      ["scenario", "--name", "eight-user"],
+                                      ["time-curve", "--q-sift", "0.4"]])
     def test_planners_take_no_seed_preset_or_name(self, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -282,12 +284,13 @@ MALFORMED = [
      ["replace payload"]),
     (["scenario", "--keys", "{cfg}"], "[lab]\nAI = lots\n", ["'AI'"]),
     (["scenario", "--keys", "{cfg}"], NO_HEADER, []),
-    (["rate-curve", "--params", "{cfg}"], "[source]\nq-sift = 7\n", ["q_sift"]),
-    (["rate-curve", "--params", "{cfg}"], "[other]\nq-sift = 0.4\n", ["[source]"]),
-    (["rate-curve", "--params", "{cfg}"], NO_HEADER, []),
-    (["rate-curve", "--q-sift", "7"], None, ["--q-sift"]),
-    (["rate-curve", "--f-ec", "0.5"], None, ["--f-ec"]),
-    (["rate-curve", "--distance-km=-50"], None, ["--distance-km"]),
+    (["time-curve", "--params", "{cfg}"], "[source]\nq-sift = 7\n", ["q_sift"]),
+    (["time-curve", "--params", "{cfg}"], "[other]\nq-sift = 0.4\n", ["[source]"]),
+    (["time-curve", "--params", "{cfg}"], NO_HEADER, []),
+    (["time-curve", "--params", "{cfg}"], "[source]\nq-sift = 7\nf-ec = 0.5\n",
+     ["[source]", "q_sift", "f_ec"]),
+    (["time-curve", "--params", "{cfg}"], "[source]\nf-ec = 0.5\n", ["[source]", "f_ec"]),
+    (["time-curve", "--distance-km=-50"], None, ["--distance-km"]),
     (["sign-round", "--receivers", "0"], None, ["--receivers"]),
     (["sign-round", "--receivers", "-2"], None, ["--receivers"]),
     (["sign-round", "--deadline", "0"], None, ["--deadline"]),
@@ -340,13 +343,11 @@ SIZE_TEXT = st.tuples(INT_TEXT, st.sampled_from(["", "K", "M", "G", "k", "g", "T
     "".join)
 RANGE_TEXT = st.lists(FLOAT_TEXT, min_size=3, max_size=3).map(":".join)
 CURVE_FLAGS = {"--distance-km": st.one_of(RANGE_TEXT, FLOAT_TEXT),
-               "--q-sift": FLOAT_TEXT, "--f-ec": FLOAT_TEXT,
                "--message-bytes": SIZE_TEXT, "--epsilon": FLOAT_TEXT}
 PLANNER_FLAGS = {
     "consumption": {"--epsilon": FLOAT_TEXT, "--receivers": INT_TEXT,
                     "--message-bytes": SIZE_TEXT,
                     "--format": st.sampled_from(["csv", "table", "tsv"])},
-    "rate-curve": CURVE_FLAGS,
     "time-curve": CURVE_FLAGS,
     "scenario": {"--message-bytes": SIZE_TEXT, "--epsilon": FLOAT_TEXT},
 }
@@ -433,7 +434,7 @@ def assert_contract_code(argv):
 
 
 def distances(spec):
-    return build_parser().parse_args(["rate-curve", "--distance-km", spec]).distance_km
+    return build_parser().parse_args(["time-curve", "--distance-km", spec]).distance_km
 
 
 def run_process(argv):
@@ -506,7 +507,7 @@ class TestMalformedInput:
         # so its error rate is undefined at every distance
         cfg = tmp_path / "dark.ini"
         cfg.write_text("[source]\nbrightness = 0\ndark-count = 0\n")
-        assert main(["rate-curve", "--params", str(cfg)]) == EXIT_CONFIG
+        assert main(["time-curve", "--params", str(cfg)]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "aqds: no coincidences; QBER undefined\n"
@@ -530,7 +531,7 @@ class TestMalformedInput:
     @pytest.mark.parametrize("spec", ["0:inf:1", "0:nan:1", "-inf:0:1", "0:1:1e-12"])
     def test_unbounded_range_is_usage_error(self, capsys, spec):
         with pytest.raises(SystemExit) as exc:
-            main(["rate-curve", "--distance-km", spec])
+            main(["time-curve", "--distance-km", spec])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
@@ -540,7 +541,7 @@ class TestMalformedInput:
         ["consumption", "--receivers", ","],
         ["consumption", "--epsilon", ""],
         ["consumption", "--message-bytes", ",,"],
-        ["rate-curve", "--distance-km", ","],
+        ["time-curve", "--distance-km", ","],
     ], ids=["receivers", "epsilon", "message-bytes", "distance-km"])
     def test_empty_comma_list_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -572,6 +573,6 @@ class TestMalformedInput:
             assert points[-1] <= stop
 
     def test_range_below_float_spacing_has_one_point(self, capsys):
-        code, out = run_cli(capsys, "rate-curve", "--distance-km", "1e20:1e20:1")
+        code, out = run_cli(capsys, "time-curve", "--distance-km", "1e20:1e20:1")
         assert code == EXIT_OK
         assert out.splitlines()[1:] == ["1e+20,0,inf"]

@@ -33,33 +33,33 @@ SEC3 = SecurityParams.for_n(16, 64, 3)
 class TestEventQueue:
     def test_time_order(self):
         q = EventQueue()
-        q.push(5, EventKind.DELIVER, "a", "b", "later")
-        q.push(1, EventKind.DELIVER, "a", "b", "sooner")
+        q.push(5, EventKind.DELIVER, "a", "later")
+        q.push(1, EventKind.DELIVER, "a", "sooner")
         assert q.advance().payload == "sooner"
         assert q.advance().payload == "later"
 
     def test_deadline_precedes_deliver_at_equal_time(self):
         q = EventQueue()
-        q.push(7, EventKind.DELIVER, "a", "b", "deliver")
-        q.push(7, EventKind.DEADLINE_FIRE, "arb", "arb", "deadline")
+        q.push(7, EventKind.DELIVER, "a", "deliver")
+        q.push(7, EventKind.DEADLINE_FIRE, "arb", "deadline")
         assert q.advance().kind is EventKind.DEADLINE_FIRE
 
     def test_deadline_after_earlier_deliver(self):
         q = EventQueue()
-        q.push(6, EventKind.DELIVER, "a", "b", "deliver")
-        q.push(7, EventKind.DEADLINE_FIRE, "arb", "arb", "deadline")
+        q.push(6, EventKind.DELIVER, "a", "deliver")
+        q.push(7, EventKind.DEADLINE_FIRE, "arb", "deadline")
         assert q.advance().kind is EventKind.DELIVER
 
     def test_sender_then_sequence_tiebreak(self):
         q = EventQueue()
-        q.push(3, EventKind.DELIVER, "z", "x", "1")
-        q.push(3, EventKind.DELIVER, "a", "x", "2")
-        q.push(3, EventKind.DELIVER, "a", "x", "3")
+        q.push(3, EventKind.DELIVER, "z", "1")
+        q.push(3, EventKind.DELIVER, "a", "2")
+        q.push(3, EventKind.DELIVER, "a", "3")
         assert [q.advance().payload for _ in range(3)] == ["2", "3", "1"]
 
     def test_empty_queue_signals_completion(self):
         q = EventQueue()
-        q.push(1, EventKind.DELIVER, "a", "b", "only")
+        q.push(1, EventKind.DELIVER, "a", "only")
         assert q
         q.advance()
         assert not q
@@ -69,7 +69,7 @@ class TestEventQueue:
                               st.sampled_from("abc")), max_size=30))
     def test_random_insertion_matches_sorted_reference(self, spec):
         q = EventQueue()
-        events = [q.push(at, kind, sender, "x", i)
+        events = [q.push(at, kind, sender, i)
                   for i, (at, kind, sender) in enumerate(spec)]
         reference = sorted(events, key=lambda e: e[:4])
         drained = []
@@ -85,7 +85,7 @@ class TestEventTuples:
     def test_drained_events_equal_sorted_events(self, spec):
         # events order as tuples; the unique seq decides before the payload
         q = EventQueue()
-        events = [q.push(at, kind, sender, "x", object())
+        events = [q.push(at, kind, sender, object())
                   for at, kind, sender in spec]
         drained = []
         while q:
@@ -94,8 +94,9 @@ class TestEventTuples:
         assert drained == sorted(events, key=lambda e: e[:4])
 
     def test_fields_in_order(self):
-        ev = EventQueue().push(3, EventKind.DELIVER, "a", "b", "body")
-        assert ev == Event(3, EventKind.DELIVER, "a", 0, "b", "body")
+        ev = EventQueue().push(3, EventKind.DELIVER, "a", "body")
+        assert Event._fields == ("at", "kind", "sender", "seq", "payload")
+        assert ev == Event(3, EventKind.DELIVER, "a", 0, "body")
         assert ev[:4] == (3, EventKind.DELIVER, "a", 0)
 
 
@@ -577,16 +578,15 @@ class TestRenderPin:
 
 def count_queue_calls(monkeypatch):
     """Patch ``EventQueue.push`` and ``.advance`` to count their calls, and
-    the pushes per delivery kind (a deadline counts as "deadline")."""
+    the pushes per transmission kind, the deadline included."""
     calls = {"push": 0, "advance": 0}
     pushed = {}
     push, advance = EventQueue.push, EventQueue.advance
 
-    def counted_push(self, at, kind, sender, receiver, payload):
+    def counted_push(self, at, kind, sender, payload):
         calls["push"] += 1
-        name = "deadline" if payload is None else payload[0]
-        pushed[name] = pushed.get(name, 0) + 1
-        return push(self, at, kind, sender, receiver, payload)
+        pushed[payload[0]] = pushed.get(payload[0], 0) + 1
+        return push(self, at, kind, sender, payload)
 
     def counted_advance(self):
         calls["advance"] += 1
@@ -621,36 +621,32 @@ class TestQueueRouting:
         t = run_round(Topology.fully_connected(4), SEC4, script, seed=1)
         assert pushed["broadcast"] == 2
         assert pushed["key-release"] == 1
-        assert [(r[2], r[3]) for r in t.records if r[4] == "broadcast"] == [
+        assert [(r[1], r[2]) for r in t.records if r[3] == "broadcast"] == [
             ("r1", 1), ("r3", 1), ("r2", 3), ("r4", 3)]
-        assert [r[2] for r in t.records if r[4] == "key-release"] == [
+        assert [r[1] for r in t.records if r[3] == "key-release"] == [
             "r1", "r2", "r3", "r4"]
         assert set(t.outcomes.values()) == {A}
 
 
 class PerCopyRunner(netsim._RoundRunner):
-    """The delivery-order reference: the round as run with one queue event per
-    broadcast copy and per key release, each copy under its own seq."""
+    """The delivery-order reference: the round as run with one single-copy
+    transmission per broadcast copy and per key release, each copy under its
+    own seq.  Its loop takes exactly one copy from each event."""
 
     def run(self):
         queue = self.queue
         for rid in self.top.receiver_ids:
             out, extra = self.script.apply("broadcast", netsim.SIGNER, rid, self.bundle)
             if out is not None:
-                queue.push(1 + extra, EventKind.DELIVER, netsim.SIGNER, rid,
-                           ("broadcast", out))
-        queue.push(self.top.deadline, EventKind.DEADLINE_FIRE,
-                   netsim.ARBITRATOR, netsim.ARBITRATOR, None)
+                queue.push(1 + extra, EventKind.DELIVER, netsim.SIGNER,
+                           ("broadcast", [(rid, out)]))
+        queue.push(self.top.deadline, EventKind.DEADLINE_FIRE, netsim.ARBITRATOR,
+                   ("deadline", [(netsim.ARBITRATOR, None)]))
         while queue:
-            at, ev_kind, sender, _, receiver, payload = queue.advance()
-            if ev_kind is EventKind.DELIVER:
-                kind, body = payload
-                event, handler = netsim._DISPATCH[kind]
-                self.records.append((event, sender, receiver, at, kind, body))
-                handler(self, at, sender, receiver, body)
-            else:
-                self.records.append(("deadline", sender, receiver, at, "deadline", None))
-                self._on_deadline(at)
+            at, _, sender, _, (kind, [(receiver, body)]) = queue.advance()
+            self.records.append((sender, receiver, at, kind, body))
+            handler = getattr(self, "_on_" + kind.replace("-", "_"))
+            handler(at, sender, receiver, body)
         self._claims(at + 1)
         return netsim.Transcript(
             security=self.sec, records=self.records,
@@ -659,29 +655,30 @@ class PerCopyRunner(netsim._RoundRunner):
             record=self.record, signer_keys=self.signer_sk,
             session_keys=self.session)
 
-    def _finish_close(self, now, fetched):
+    def _on_key_response(self, at, sender, receiver, fetched):
         self.session = protocol.arbitrator_close_round(
-            self.record, list(self.packets.values()), now, fetched)
+            self.record, list(self.packets.values()), at, fetched)
         for rid in self.top.receiver_ids:
             if self.record.verdicts.get(rid) is VerificationOutcome.TIMED_OUT:
-                self.records.append(("verdict", netsim.ARBITRATOR, rid, now, "verdict",
+                self.records.append((netsim.ARBITRATOR, rid, at, "verdict",
                                      VerificationOutcome.TIMED_OUT))
         for rid in self.top.receiver_ids:
             if rid in self.packets:
-                self.queue.push(now + 1, EventKind.DELIVER, netsim.ARBITRATOR, rid,
-                                ("key-release", self.session))
+                self.queue.push(at + 1, EventKind.DELIVER, netsim.ARBITRATOR,
+                                ("key-release", [(rid, self.session)]))
 
 
 @st.composite
-def scripted_rounds(draw, max_k, max_deadline, max_rules):
+def scripted_rounds(draw, max_k, max_deadline, max_rules, n=8, m=32):
     """(topology, security, script, seed) with rules of every action on both
-    kinds.  Receiver ids come in a drawn order, so receiver order is not
-    name order, and delays reach two past the deadline: a broadcast delayed
-    by deadline + 1 arrives with the key response."""
+    kinds, at key length n and message length m.  Receiver ids come in a
+    drawn order, so receiver order is not name order, and delays reach two
+    past the deadline: a broadcast delayed by deadline + 1 arrives with the
+    key response."""
     k = draw(st.integers(1, max_k))
     deadline = draw(st.integers(1, max_deadline))
     rids = tuple(draw(st.permutations([f"r{i}" for i in range(1, k + 1)])))
-    sec = SecurityParams.for_n(8, 32, k)  # 32-bit messages, 16-bit signatures
+    sec = SecurityParams.for_n(n, m, k)  # m-bit messages, 2n-bit signatures
     rules = []
     for _ in range(draw(st.integers(0, max_rules))):
         action = draw(st.sampled_from(("tamper", "delay", "drop", "replace")))
@@ -696,7 +693,7 @@ def scripted_rounds(draw, max_k, max_deadline, max_rules):
         elif action == "delay":
             kwargs["delta"] = draw(st.integers(0, deadline + 2))
         elif action == "replace":
-            width = 4 if target == "message" else 2
+            width = (m if target == "message" else 2 * n) // 8
             kwargs["payload_hex"] = draw(st.binary(min_size=width,
                                                    max_size=width)).hex()
         rules.append(Rule(**kwargs))
@@ -743,7 +740,8 @@ class TestMulticastDelivery:
         case = (Topology.fully_connected(3, deadline=5), SecurityParams.for_n(8, 32, 3),
                 AdversaryScript((delayed("broadcast", "r1", 6),)), 4)
         assert_same_as_per_copy(case)
-        at_seven = [r[0] for r in run_round(*case).records if r[3] == 7]
+        at_seven = [line.split()[1] for line in run_round(*case).lines
+                    if line.split()[4] == "7"]
         assert at_seven == ["deliver:broadcast", "deliver:key-response", "verdict"]
 
     @pytest.mark.slow
@@ -751,6 +749,53 @@ class TestMulticastDelivery:
     @given(scripted_rounds(max_k=12, max_deadline=16, max_rules=10))
     def test_matches_per_copy_delivery_wide(self, case):
         assert_same_as_per_copy(case)
+
+
+def final_copies(script, rid, genuine):
+    """Receiver ``rid``'s broadcast copy, its forward copy (None = dropped)
+    and the forward's arrival time, from the script's rules alone."""
+    copy, extra = script.apply("broadcast", netsim.SIGNER, rid, genuine)
+    if copy is None:
+        return None, None, None
+    forward, forward_extra = script.apply("forward", rid, netsim.ARBITRATOR, copy)
+    # one time unit per hop, plus the rules' delays
+    return copy, forward, 2 + extra + forward_extra
+
+
+class TestPaperInvariants:
+    """PAPER.md's three claims on drawn rounds, read off the transcript and
+    the script's rules, not the runner's state.  At n = 32 and m = 64 a
+    tampered or replaced copy verifies with negligible probability.
+
+    A runner that archives the last verified forward instead of the first
+    passes by design: every verified forward is then the genuine pair."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(scripted_rounds(max_k=6, max_deadline=12, max_rules=6, n=32, m=64))
+    def test_simultaneous_verification_transferability_non_repudiation(self, case):
+        topology, sec, script, seed = case
+        t = run_round(topology, sec, script, seed)
+        # the rules take no draw, so an unattacked round on the same seed
+        # (with room for its forwards) archives the signed pair
+        honest = run_round(Topology(topology.receiver_ids, deadline=3), sec, seed=seed)
+        genuine = SignatureBundle(honest.record.message, honest.record.signature)
+        archived = t.record.message is not None
+        if archived:  # transferability
+            assert SignatureBundle(t.record.message, t.record.signature) == genuine
+        for rid in topology.receiver_ids:
+            copy, forward, arrival = final_copies(script, rid, genuine)
+            on_time = forward is not None and arrival < topology.deadline
+            assert (t.outcomes[rid] is VerificationOutcome.TIMED_OUT) == (not on_time)
+            if copy != genuine:
+                continue
+            if on_time:  # simultaneous verification
+                assert t.announcements[rid] is A
+            if forward == genuine:  # non-repudiation
+                if on_time:
+                    assert t.outcomes[rid] is A
+                else:
+                    # a claim is checked against the archive
+                    assert t.timeout_claims[rid] is archived
 
 
 class TestLazyTranscript:
