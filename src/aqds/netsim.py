@@ -483,13 +483,15 @@ class _RoundRunner:
 
     def _on_key_response(self, at: int, sender: str, receiver: str,
                          fetched: Mapping[str, KeyBundle]) -> None:
-        """Close the round on the fetched keys, and release the session keys."""
+        """Close the round on the on-time forwards, and release the session keys."""
         session = self.session = arbitrator_close_round(
-            self.record, list(self.packets.values()), at, fetched)
-        for rid in self.top.receiver_ids:
-            if self.record.verdicts.get(rid) is VerificationOutcome.TIMED_OUT:
-                self.records.append((ARBITRATOR, rid, at, "verdict",
-                                     VerificationOutcome.TIMED_OUT))
+            self.record, self.packets, at, fetched)
+        # ``packets`` holds exactly the forwards that arrived before the
+        # deadline, and ``fetched`` the keys of exactly the other receivers,
+        # in receiver order
+        for rid in fetched:
+            self.records.append((ARBITRATOR, rid, at, "verdict",
+                                 VerificationOutcome.TIMED_OUT))
         copies = [(rid, session) for rid in self.top.receiver_ids
                   if rid in self.packets]
         if copies:  # an empty transmission would still move the claims' time
@@ -514,10 +516,10 @@ class _RoundRunner:
         self.records.append((ARBITRATOR, rid, at, "verdict", outcome))
 
     def _claims(self, at: int) -> None:
+        """Each timed-out receiver (none in ``packets``) claims the copy it holds."""
         self.claims: dict[str, bool] = {}
         for rid in self.top.receiver_ids:
-            if (self.record.verdicts.get(rid) is VerificationOutcome.TIMED_OUT
-                    and rid in self.receiver_copy):
+            if rid not in self.packets and rid in self.receiver_copy:
                 bundle = self.receiver_copy[rid]
                 ok = timeout_forward_verify(self.record, rid, bundle, self.link_keys[rid])
                 self.claims[rid] = ok

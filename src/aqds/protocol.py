@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from random import Random
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .gf2_hash import (
     BitString,
@@ -188,34 +188,33 @@ class RoundRecord:
 
 def arbitrator_close_round(
     record: RoundRecord,
-    packets: Sequence[ForwardPacket],
+    on_time: Mapping[str, ForwardPacket],
     now: int,
     fetched: Mapping[str, KeyBundle],
 ) -> SessionKeys:
     """Close the collection window and combine the verification keys.
 
-    Packets sent by the deadline contribute their keys; receivers without
-    one are marked timed out and take their keys from ``fetched``, the
-    keys the arbitrator fetched from the signer over the authenticated
-    channel.  A timed-out receiver missing from ``fetched`` raises
-    ValueError.  Session keys are later released only to the on-time receivers.
+    ``on_time`` maps each receiver whose forward arrived before the deadline
+    to that forward: the caller judges arrival, and the forward contributes
+    its key.  Every other receiver of the round is marked timed out and
+    takes its key from ``fetched``, the keys the arbitrator fetched from the
+    signer over the authenticated channel; a timed-out receiver missing
+    there raises ValueError.  Ids outside the round are ignored.  Session
+    keys are later released only to the on-time receivers.
     """
     if now < record.deadline:
         raise ValueError("cannot close before the deadline")
-    members = set(record.receiver_ids)
-    for p in packets:
-        if p.receiver_id in members and p.sent_at <= record.deadline:
-            record.key_set.setdefault(p.receiver_id, p.keys)
-    timeouts = [r for r in record.receiver_ids if r not in record.key_set]
-    missing = [r for r in timeouts if r not in fetched]
+    missing = [r for r in record.receiver_ids if r not in on_time and r not in fetched]
     if missing:
         raise ValueError(
             f"signer did not supply timeout keys for {', '.join(missing)}")
-    for r in timeouts:
-        record.key_set[r] = fetched[r]
-        record.verdicts[r] = VerificationOutcome.TIMED_OUT
-    ordered = [record.key_set[r] for r in record.receiver_ids]
-    return combine(ordered, record.arbitrator_keys)
+    for r in record.receiver_ids:
+        if r in on_time:
+            record.key_set[r] = on_time[r].keys
+        else:
+            record.key_set[r] = fetched[r]
+            record.verdicts[r] = VerificationOutcome.TIMED_OUT
+    return combine(list(record.key_set.values()), record.arbitrator_keys)
 
 
 def timeout_forward_verify(record: RoundRecord, receiver_id: str,

@@ -11,7 +11,6 @@ key stock into signing time or supported signing rounds.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
@@ -74,8 +73,8 @@ class SourceParams:
         for e in (self.e_pol_a, self.e_pol_b):
             if not 0.0 <= e <= 1.0:
                 raise ValueError("polarization errors are probabilities")
-        if self.eta_tcc is None and self.t_delta is None:
-            raise ValueError("either eta_tcc or t_delta must be given")
+        if (self.eta_tcc is None) == (self.t_delta is None):
+            raise ValueError("give exactly one of eta_tcc and t_delta")
         if self.eta_tcc is not None and not 0.0 < self.eta_tcc <= 1.0:
             raise ValueError("eta_tcc must be in (0, 1]")
         if self.eta_tcc is None:
@@ -93,9 +92,6 @@ class SourceParams:
 
     def resolved_eta_tcc(self) -> float:
         if self.eta_tcc is not None:
-            if self.t_delta is not None:
-                warnings.warn("both eta_tcc and t_delta given; using eta_tcc",
-                              stacklevel=2)
             return self.eta_tcc
         return window_efficiency(self.t_cc, self.t_delta)
 

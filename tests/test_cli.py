@@ -328,6 +328,8 @@ MALFORMED = [
      ["[source]", "alpha_db_per_km", "finite"]),
     (["time-curve", "--params", "{cfg}"], "[source]\nbrightness = inf\n",
      ["[source]", "brightness", "finite"]),
+    (["time-curve", "--params", "{cfg}"], "[source]\neta-tcc = 0.7\nt-delta = 5e-10\n",
+     ["[source]", "eta_tcc", "t_delta"]),
 ]
 
 

@@ -220,17 +220,25 @@ class TestRunRound:
         assert lines[("deliver:forward", "r1", "arbitrator")] == 5
         assert lines[("deliver:broadcast", "signer", "r2")] == 1
 
-    def test_arrival_exactly_at_deadline_is_late(self):
-        # r1's forward arrives at 1 + 1 + 2, exactly the deadline: the
-        # deadline fires first
+    @pytest.mark.parametrize("delta, late", [(2, True), (1, False)])
+    def test_arrival_exactly_at_deadline_is_late(self, delta, late):
+        # r1's forward arrives at 1 + 1 + delta: exactly at the deadline the
+        # deadline fires first and the forward is late; one unit before it
+        # the forward is on time
         script = AdversaryScript((Rule(action="delay", kind="forward",
-                                       sender="r1", delta=2),))
+                                       sender="r1", delta=delta),))
         top = Topology.fully_connected(2, deadline=4)
         sec = SecurityParams.for_n(12, 48, 2)
         t = run_round(top, sec, script, seed=8)
-        at_four = [line.split()[1:3] for line in t.lines if line.split()[4] == "4"]
-        assert at_four[:2] == [["deadline", "arbitrator"], ["deliver:forward", "r1"]]
-        assert t.outcomes["r1"] is VerificationOutcome.TIMED_OUT
+        forward_at = 2 + delta
+        at_forward = [line.split()[1:3] for line in t.lines
+                      if line.split()[4] == str(forward_at)]
+        if late:
+            assert at_forward[:2] == [["deadline", "arbitrator"],
+                                      ["deliver:forward", "r1"]]
+        else:
+            assert at_forward == [["deliver:forward", "r1"]]
+        assert t.outcomes["r1"] is (VerificationOutcome.TIMED_OUT if late else A)
         assert t.outcomes["r2"] is A
 
     def test_topology_security_mismatch(self):
@@ -657,7 +665,7 @@ class PerCopyRunner(netsim._RoundRunner):
 
     def _on_key_response(self, at, sender, receiver, fetched):
         self.session = protocol.arbitrator_close_round(
-            self.record, list(self.packets.values()), at, fetched)
+            self.record, self.packets, at, fetched)
         for rid in self.top.receiver_ids:
             if self.record.verdicts.get(rid) is VerificationOutcome.TIMED_OUT:
                 self.records.append((netsim.ARBITRATOR, rid, at, "verdict",
@@ -762,6 +770,14 @@ def final_copies(script, rid, genuine):
     return copy, forward, 2 + extra + forward_extra
 
 
+def genuine_bundle(topology, sec, seed):
+    """The pair the signer signs in a round on ``seed``.  The rules take no
+    draw, so an unattacked round on the same seed (with room for its
+    forwards) archives it."""
+    honest = run_round(Topology(topology.receiver_ids, deadline=3), sec, seed=seed)
+    return SignatureBundle(honest.record.message, honest.record.signature)
+
+
 class TestPaperInvariants:
     """PAPER.md's three claims on drawn rounds, read off the transcript and
     the script's rules, not the runner's state.  At n = 32 and m = 64 a
@@ -775,10 +791,7 @@ class TestPaperInvariants:
     def test_simultaneous_verification_transferability_non_repudiation(self, case):
         topology, sec, script, seed = case
         t = run_round(topology, sec, script, seed)
-        # the rules take no draw, so an unattacked round on the same seed
-        # (with room for its forwards) archives the signed pair
-        honest = run_round(Topology(topology.receiver_ids, deadline=3), sec, seed=seed)
-        genuine = SignatureBundle(honest.record.message, honest.record.signature)
+        genuine = genuine_bundle(topology, sec, seed)
         archived = t.record.message is not None
         if archived:  # transferability
             assert SignatureBundle(t.record.message, t.record.signature) == genuine
@@ -796,6 +809,66 @@ class TestPaperInvariants:
                 else:
                     # a claim is checked against the archive
                     assert t.timeout_claims[rid] is archived
+
+
+def stage_three_reference(topology, script, genuine):
+    """(announcements, verdicts, claims) of a round from README's stage-3
+    rules alone, on the final copies ``final_copies`` derives:
+
+    - a forward is on time iff it arrives before the deadline; exactly the
+      on-time receivers get the session keys, and each announces ACCEPTED
+      iff its broadcast copy verifies;
+    - the arbitrator checks the forward of a receiver that announced
+      ACCEPTED and confirms it iff the forward verifies; it rejects every
+      other on-time receiver and marks the rest timed out;
+    - it archives the first verified forward;
+    - once the round is over, a timed-out receiver that holds a copy claims
+      it, and the claim holds iff the copy bit-equals the archived pair.
+
+    At n = 32 and m = 64 a copy verifies iff it equals the genuine bundle,
+    up to a negligible forgery chance, so every verified forward is the
+    genuine pair.
+    """
+    copies = {rid: final_copies(script, rid, genuine) for rid in topology.receiver_ids}
+    announcements, verdicts, claims = {}, {}, {}
+    for rid, (copy, forward, arrival) in copies.items():
+        if forward is None or arrival >= topology.deadline:
+            verdicts[rid] = VerificationOutcome.TIMED_OUT
+            continue
+        announcements[rid] = A if copy == genuine else VerificationOutcome.REJECTED
+        verdicts[rid] = (A if announcements[rid] is A and forward == genuine
+                         else VerificationOutcome.REJECTED)
+    archived = A in verdicts.values()
+    for rid, (copy, _, _) in copies.items():
+        if verdicts[rid] is VerificationOutcome.TIMED_OUT and copy is not None:
+            claims[rid] = archived and copy == genuine
+    return announcements, verdicts, claims
+
+
+SEC32 = SecurityParams.for_n(32, 64, 3)
+
+
+class TestStageThreeReference:
+    """``run_round`` gives every receiver the announcement, verdict and claim
+    of ``stage_three_reference`` on drawn scripts.  The examples pin a
+    forward on the deadline and one just before it, a timed-out receiver
+    holding a tampered copy, and a round in which nothing was archived."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(scripted_rounds(max_k=4, max_deadline=12, max_rules=6, n=32, m=64))
+    @example((Topology(("r2", "r1", "r3"), 5), SEC32, AdversaryScript((
+        delayed("forward", "r1", 3), delayed("forward", "r2", 2))), 1))
+    @example((Topology(("r1", "r2", "r3"), 6), SEC32, AdversaryScript((
+        Rule(action="tamper", kind="broadcast", receiver="r1", positions=(3,)),
+        delayed("forward", "r1", 9))), 2))
+    @example((Topology(("r1", "r2", "r3"), 4), SEC32, AdversaryScript((
+        delayed("forward", None, 2),)), 3))
+    def test_matches_the_reference(self, case):
+        topology, sec, script, seed = case
+        t = run_round(topology, sec, script, seed)
+        want = stage_three_reference(topology, script,
+                                     genuine_bundle(topology, sec, seed))
+        assert (t.announcements, t.outcomes, t.timeout_claims) == want
 
 
 class TestLazyTranscript:

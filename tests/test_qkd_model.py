@@ -78,10 +78,9 @@ class TestSourceParams:
         p = SourceParams(e_pol_a=0.0181, e_pol_b=0.0181)
         assert p.e_pol == pytest.approx(2 * 0.0181 * (1 - 0.0181))
 
-    def test_eta_tcc_direct_wins_with_warning(self):
-        p = SourceParams(eta_tcc=0.761, t_delta=500e-12)
-        with pytest.warns(UserWarning):
-            assert p.resolved_eta_tcc() == 0.761
+    def test_eta_tcc_and_jitter_together_rejected(self):
+        with pytest.raises(ValueError, match="eta_tcc and t_delta"):
+            SourceParams(eta_tcc=0.761, t_delta=500e-12)
 
     def test_eta_tcc_derived_from_jitter(self):
         p = SourceParams(eta_tcc=None, t_delta=500e-12)
