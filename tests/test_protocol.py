@@ -187,6 +187,25 @@ class TestCloseRound:
         assert record.verdicts["r2"] is VerificationOutcome.TIMED_OUT
         assert set(record.key_set) == {"r1", "r2", "r3"}
 
+    @pytest.mark.parametrize("sent_at", [2, 10, 11, 50])
+    def test_sent_at_does_not_decide(self, sent_at):
+        # the caller judges arrival: a forward in the on-time map counts
+        # whatever its sender stamped, so no key is fetched for it
+        sk, bundle, record, packets, keymap = self.setup_round(timeouts=("r3",))
+        packets["r3"] = ForwardPacket("r3", bundle, keymap["r3"], sent_at=sent_at)
+        session = arbitrator_close_round(record, packets, now=11, fetched={})
+        assert session == sk
+        assert record.verdicts == {}
+        assert record.key_set["r3"] == keymap["r3"]
+
+    def test_on_time_key_wins_over_a_fetched_one(self):
+        sk, bundle, record, packets, keymap = self.setup_round()
+        session = arbitrator_close_round(record, packets, now=10,
+                                         fetched={"r1": keymap["r2"]})
+        assert record.key_set["r1"] == keymap["r1"]
+        assert record.verdicts == {}
+        assert session == sk
+
     def test_packet_from_outside_the_round_is_ignored(self):
         sk, bundle, record, packets, _ = self.setup_round()
         _, stranger = distribute_keys(8, 1, Random(21))
