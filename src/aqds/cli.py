@@ -175,9 +175,10 @@ _MAX_ROUND_BYTES = 16 << 20
 # far larger n alone would exhaust memory, so n is bounded before any suite
 _MAX_ATTACK_N = 2048
 # a round holds a key bundle, a forward and a few transcript lines per
-# receiver, so memory grows linearly in k: 10 000 receivers take 0.25-0.55 s
-# and 34 MB, 0.35-0.75 s and 39 MB with --transcript (2-vCPU x86-64, Python
-# 3.11); consumption only does arithmetic on k and stays unbounded
+# receiver, so memory grows linearly in k: 10 000 receivers take 0.24-0.36 s
+# and 33 MB, 0.34-0.51 s and 39 MB with --transcript, and 0.30-0.44 s with a
+# script of 1000 forward delays (2-vCPU x86-64, Python 3.11); consumption
+# only does arithmetic on k and stays unbounded
 _MAX_ROUND_RECEIVERS = 10_000
 # at the defaults (n = 8, m = 32, k = 3) a trial runs at about 141 000/s in the
 # blind forgery suite, 12 000/s in the known-signature one, 3 500/s in

@@ -13,10 +13,9 @@ from __future__ import annotations
 import hashlib
 import heapq
 from dataclasses import dataclass, field
-from enum import IntEnum
 from pathlib import Path
 from random import Random
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 from .config import ConfigurationError, IniFile
 from .gf2_hash import BitString
@@ -73,36 +72,19 @@ class Topology:
 # ---------------------------------------------------------------------------
 # Events
 
-
-class EventKind(IntEnum):
-    # numeric value doubles as the tie-break rank: a deadline firing at t
-    # precedes a delivery at t, so arrival exactly at the deadline is late
-    DEADLINE_FIRE = 0
-    DELIVER = 1
+# an event's tie-break rank at equal time: a deadline firing at t precedes a
+# delivery at t, so arrival exactly at the deadline is late
+DEADLINE_FIRE, DELIVER = 0, 1
 
 
-class Event(NamedTuple):
-    """One queued transmission; as a tuple it orders by (at, kind, sender, seq).
+class EventQueue:
+    """Min-heap of transmissions, each a plain ``(at, rank, sender, seq,
+    payload)`` tuple ordered as a tuple.
 
     ``seq`` is unique per queue, so a comparison never reaches ``payload``,
     which is ``(line kind, copies)``: ``copies`` lists the ``(receiver,
     body)`` pairs in receiver order, one pair for a unicast.  The deadline
     is one copy from the arbitrator to itself, with body None.
-    """
-
-    at: int
-    kind: EventKind
-    sender: str
-    seq: int
-    payload: tuple[str, object]
-
-
-_DELIVER = EventKind.DELIVER
-_new_event = tuple.__new__  # skips the Python-level ``Event.__new__``
-
-
-class EventQueue:
-    """Min-heap of transmissions under the (time, kind, sender, seq) total order.
 
     A transmission to several receivers stands for copies that would
     otherwise be queued back to back under consecutive seqs: nothing else
@@ -110,17 +92,17 @@ class EventQueue:
     """
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple] = []
         self._next_seq = 0
 
-    def push(self, at: int, kind: EventKind, sender: str,
-             payload: tuple[str, object]) -> Event:
-        ev = _new_event(Event, (at, kind, sender, self._next_seq, payload))
+    def push(self, at: int, rank: int, sender: str,
+             payload: tuple[str, object]) -> tuple:
+        ev = (at, rank, sender, self._next_seq, payload)
         self._next_seq += 1
         heapq.heappush(self._heap, ev)
         return ev
 
-    def advance(self) -> Event:
+    def advance(self) -> tuple:
         return heapq.heappop(self._heap)
 
     def __bool__(self) -> bool:
@@ -277,12 +259,16 @@ class Rule:
 @dataclass(frozen=True)
 class AdversaryScript:
     rules: tuple[Rule, ...] = ()
-    # the kinds the rules name, None for a wildcard: a copy of a kind outside
-    # them, with no wildcard, skips the rule scan
-    _kinds: frozenset[str | None] = field(init=False, repr=False, compare=False)
+    # kind -> sender -> positions of the rules that name them, None for a
+    # wildcard: a copy can only match the rules filed under its kind or None
+    # and, within those, its sender or None
+    _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_kinds", frozenset(r.kind for r in self.rules))
+        index: dict = {}
+        for pos, rule in enumerate(self.rules):
+            index.setdefault(rule.kind, {}).setdefault(rule.sender, []).append(pos)
+        object.__setattr__(self, "_index", index)
 
     def validate_sized(self, m_bits: int, sig_bits: int) -> None:
         """Reject size-dependent rule problems before any event runs."""
@@ -302,13 +288,18 @@ class AdversaryScript:
     def apply(self, kind: str, sender: str, receiver: str,
               bundle: SignatureBundle) -> tuple[SignatureBundle | None, int]:
         """Rewritten bundle (None = dropped) and extra delay after all rules."""
-        if kind not in self._kinds and None not in self._kinds:
+        positions: list[int] = []
+        for by_sender in (self._index.get(kind), self._index.get(None)):
+            if by_sender:
+                positions += by_sender.get(sender, ())
+                positions += by_sender.get(None, ())
+        if not positions:
             return bundle, 0
+        positions.sort()  # the groups are disjoint: this merges them in script order
         extra = 0
-        for rule in self.rules:
-            if ((rule.kind is not None and rule.kind != kind)
-                    or (rule.sender is not None and rule.sender != sender)
-                    or (rule.receiver is not None and rule.receiver != receiver)):
+        for pos in positions:
+            rule = self.rules[pos]
+            if rule.receiver is not None and rule.receiver != receiver:
                 continue
             if rule.action == "drop":
                 return None, extra
@@ -426,8 +417,8 @@ class _RoundRunner:
             if out is not None:
                 arrivals.setdefault(1 + extra, []).append((rid, out))
         for at, copies in arrivals.items():
-            queue.push(at, _DELIVER, SIGNER, ("broadcast", copies))
-        queue.push(self.top.deadline, EventKind.DEADLINE_FIRE, ARBITRATOR,
+            queue.push(at, DELIVER, SIGNER, ("broadcast", copies))
+        queue.push(self.top.deadline, DEADLINE_FIRE, ARBITRATOR,
                    ("deadline", ((ARBITRATOR, None),)))
         records = self.records
         while queue:
@@ -458,7 +449,7 @@ class _RoundRunner:
         out, extra = self.script.apply("forward", rid, ARBITRATOR, bundle)
         if out is not None:
             packet = ForwardPacket(rid, out, self.link_keys[rid], sent_at=at)
-            self.queue.push(at + 1 + extra, _DELIVER, rid,
+            self.queue.push(at + 1 + extra, DELIVER, rid,
                             ("forward", ((ARBITRATOR, packet),)))
 
     def _on_forward(self, at: int, rid: str, receiver: str,
@@ -471,14 +462,14 @@ class _RoundRunner:
     def _on_deadline(self, at: int, sender: str, receiver: str, body: None) -> None:
         timeouts = tuple(r for r in self.top.receiver_ids if r not in self.packets)
         if timeouts:
-            self.queue.push(at + 1, _DELIVER, ARBITRATOR,
+            self.queue.push(at + 1, DELIVER, ARBITRATOR,
                             ("key-request", ((SIGNER, timeouts),)))
         else:
             self._on_key_response(at, sender, receiver, {})
 
     def _on_key_request(self, at: int, sender: str, receiver: str,
                         timeouts: tuple[str, ...]) -> None:
-        self.queue.push(at + 1, _DELIVER, SIGNER, ("key-response", (
+        self.queue.push(at + 1, DELIVER, SIGNER, ("key-response", (
             (ARBITRATOR, {r: self.link_keys[r] for r in timeouts}),)))
 
     def _on_key_response(self, at: int, sender: str, receiver: str,
@@ -495,13 +486,13 @@ class _RoundRunner:
         copies = [(rid, session) for rid in self.top.receiver_ids
                   if rid in self.packets]
         if copies:  # an empty transmission would still move the claims' time
-            self.queue.push(at + 1, _DELIVER, ARBITRATOR, ("key-release", copies))
+            self.queue.push(at + 1, DELIVER, ARBITRATOR, ("key-release", copies))
 
     def _on_key_release(self, at: int, sender: str, rid: str,
                         session: SessionKeys) -> None:
         verdict = receiver_verify(self.receiver_copy[rid], session, self.memo)
         self.announcements[rid] = verdict
-        self.queue.push(at + 1, _DELIVER, rid, ("announce", ((ARBITRATOR, verdict),)))
+        self.queue.push(at + 1, DELIVER, rid, ("announce", ((ARBITRATOR, verdict),)))
 
     def _on_announce(self, at: int, rid: str, receiver: str,
                      verdict: VerificationOutcome) -> None:

@@ -13,9 +13,9 @@ from aqds.config import ConfigurationError
 from aqds.gf2_hash import BitString
 from aqds.keymat import SecurityParams, link_bits, total_consumption
 from aqds.netsim import (
+    DEADLINE_FIRE,
+    DELIVER,
     AdversaryScript,
-    Event,
-    EventKind,
     EventQueue,
     Rule,
     Topology,
@@ -30,47 +30,54 @@ A = VerificationOutcome.ACCEPTED
 SEC3 = SecurityParams.for_n(16, 64, 3)
 
 
+# an event is (at, rank, sender, seq, payload)
+RANK, PAYLOAD = 1, 4
+# (at, rank, sender) of each push
+EVENT_SPECS = st.lists(st.tuples(st.integers(0, 20),
+                                 st.sampled_from((DEADLINE_FIRE, DELIVER)),
+                                 st.sampled_from("abc")), max_size=30)
+
+
 class TestEventQueue:
     def test_time_order(self):
         q = EventQueue()
-        q.push(5, EventKind.DELIVER, "a", "later")
-        q.push(1, EventKind.DELIVER, "a", "sooner")
-        assert q.advance().payload == "sooner"
-        assert q.advance().payload == "later"
+        q.push(5, DELIVER, "a", "later")
+        q.push(1, DELIVER, "a", "sooner")
+        assert q.advance()[PAYLOAD] == "sooner"
+        assert q.advance()[PAYLOAD] == "later"
 
     def test_deadline_precedes_deliver_at_equal_time(self):
         q = EventQueue()
-        q.push(7, EventKind.DELIVER, "a", "deliver")
-        q.push(7, EventKind.DEADLINE_FIRE, "arb", "deadline")
-        assert q.advance().kind is EventKind.DEADLINE_FIRE
+        q.push(7, DELIVER, "a", "deliver")
+        q.push(7, DEADLINE_FIRE, "arb", "deadline")
+        assert q.advance()[RANK] == DEADLINE_FIRE
 
     def test_deadline_after_earlier_deliver(self):
         q = EventQueue()
-        q.push(6, EventKind.DELIVER, "a", "deliver")
-        q.push(7, EventKind.DEADLINE_FIRE, "arb", "deadline")
-        assert q.advance().kind is EventKind.DELIVER
+        q.push(6, DELIVER, "a", "deliver")
+        q.push(7, DEADLINE_FIRE, "arb", "deadline")
+        assert q.advance()[RANK] == DELIVER
 
     def test_sender_then_sequence_tiebreak(self):
         q = EventQueue()
-        q.push(3, EventKind.DELIVER, "z", "1")
-        q.push(3, EventKind.DELIVER, "a", "2")
-        q.push(3, EventKind.DELIVER, "a", "3")
-        assert [q.advance().payload for _ in range(3)] == ["2", "3", "1"]
+        q.push(3, DELIVER, "z", "1")
+        q.push(3, DELIVER, "a", "2")
+        q.push(3, DELIVER, "a", "3")
+        assert [q.advance()[PAYLOAD] for _ in range(3)] == ["2", "3", "1"]
 
     def test_empty_queue_signals_completion(self):
         q = EventQueue()
-        q.push(1, EventKind.DELIVER, "a", "only")
+        q.push(1, DELIVER, "a", "only")
         assert q
         q.advance()
         assert not q
 
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.tuples(st.integers(0, 20), st.sampled_from(list(EventKind)),
-                              st.sampled_from("abc")), max_size=30))
+    @given(EVENT_SPECS)
     def test_random_insertion_matches_sorted_reference(self, spec):
         q = EventQueue()
-        events = [q.push(at, kind, sender, i)
-                  for i, (at, kind, sender) in enumerate(spec)]
+        events = [q.push(at, rank, sender, i)
+                  for i, (at, rank, sender) in enumerate(spec)]
         reference = sorted(events, key=lambda e: e[:4])
         drained = []
         while q:
@@ -80,24 +87,25 @@ class TestEventQueue:
 
 class TestEventTuples:
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.tuples(st.integers(0, 20), st.sampled_from(list(EventKind)),
-                              st.sampled_from("abc")), max_size=30))
+    @given(EVENT_SPECS)
     def test_drained_events_equal_sorted_events(self, spec):
         # events order as tuples; the unique seq decides before the payload
         q = EventQueue()
-        events = [q.push(at, kind, sender, object())
-                  for at, kind, sender in spec]
+        events = [q.push(at, rank, sender, object())
+                  for at, rank, sender in spec]
         drained = []
         while q:
             drained.append(q.advance())
         assert drained == sorted(events)
         assert drained == sorted(events, key=lambda e: e[:4])
 
-    def test_fields_in_order(self):
-        ev = EventQueue().push(3, EventKind.DELIVER, "a", "body")
-        assert Event._fields == ("at", "kind", "sender", "seq", "payload")
-        assert ev == Event(3, EventKind.DELIVER, "a", 0, "body")
-        assert ev[:4] == (3, EventKind.DELIVER, "a", 0)
+    def test_tuple_layout(self):
+        # a plain (at, rank, sender, seq, payload) tuple, seq counting pushes
+        q = EventQueue()
+        q.push(9, DEADLINE_FIRE, "b", "first")
+        ev = q.push(3, DELIVER, "a", "body")
+        assert type(ev) is tuple
+        assert ev == (3, DELIVER, "a", 1, "body")
 
 
 class TestTopology:
@@ -448,6 +456,107 @@ class TestApplyRuleTable:
         assert AdversaryScript().apply("forward", "r1", "arbitrator", bundle) == (bundle, 0)
 
 
+def apply_by_scan(rules, kind, sender, receiver, bundle):
+    """The rule-table reference: every rule tested on every field, in script
+    order, as ``AdversaryScript.apply`` must behave."""
+    extra = 0
+    for rule in rules:
+        if any(want is not None and want != got for want, got in
+               ((rule.kind, kind), (rule.sender, sender), (rule.receiver, receiver))):
+            continue
+        if rule.action == "drop":
+            return None, extra
+        if rule.action == "delay":
+            extra += rule.delta
+            continue
+        message, signature = bundle.message, bundle.signature
+        part = message if rule.target == "message" else signature
+        if rule.action == "tamper":
+            part = part.flip(*(p % part.length for p in rule.positions))
+        else:
+            part = BitString.from_hex(rule.payload_hex, part.length)
+        if rule.target == "message":
+            bundle = SignatureBundle(part, signature)
+        else:
+            bundle = SignatureBundle(message, part)
+    return bundle, extra
+
+
+# every node a rule field can name, and None for a wildcard
+RULE_NODES = (None, netsim.SIGNER, netsim.ARBITRATOR, "r1", "r2", "r3")
+# the broadcast and the forward copy of each of r1..r3
+SCRIPT_COPIES = [("broadcast", netsim.SIGNER, rid) for rid in ("r1", "r2", "r3")] + [
+    ("forward", rid, netsim.ARBITRATOR) for rid in ("r1", "r2", "r3")]
+
+
+@st.composite
+def table_rules(draw):
+    """One rule of any action on a 32-bit message and a 16-bit signature,
+    with a drawn name or a wildcard in each match field."""
+    action = draw(st.sampled_from(("tamper", "delay", "drop", "replace")))
+    target = draw(st.sampled_from(("message", "signature")))
+    kwargs = {"action": action, "target": target,
+              "kind": draw(st.sampled_from((None, "broadcast", "forward"))),
+              "sender": draw(st.sampled_from(RULE_NODES)),
+              "receiver": draw(st.sampled_from(RULE_NODES))}
+    if action == "tamper":
+        kwargs["positions"] = tuple(draw(st.lists(st.integers(0, 40), min_size=1,
+                                                  max_size=3)))
+    elif action == "delay":
+        kwargs["delta"] = draw(st.integers(0, 5))
+    elif action == "replace":
+        width = 4 if target == "message" else 2
+        kwargs["payload_hex"] = draw(st.binary(min_size=width, max_size=width)).hex()
+    return Rule(**kwargs)
+
+
+class TestRuleIndex:
+    """``apply`` files each rule under the kind and sender it names, and
+    examines only the rules filed where a copy can match."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(table_rules(), max_size=12))
+    def test_apply_matches_a_scan_of_every_rule(self, rules):
+        # six node names over up to 12 rules: senders repeat, wildcards mix in
+        bundle = SignatureBundle(BitString(0x05BEB837, 32), BitString(0xC844, 16))
+        script = AdversaryScript(tuple(rules))
+        for kind, sender, receiver in SCRIPT_COPIES:
+            assert (script.apply(kind, sender, receiver, bundle)
+                    == apply_by_scan(rules, kind, sender, receiver, bundle))
+
+    def test_a_copy_examines_only_the_rules_filed_for_it(self, monkeypatch):
+        # k = 200 with a late forward for every tenth receiver: 200 broadcast
+        # and 200 forward copies, and 20 (copy, rule) matches
+        reads = []
+
+        class CountedRule(Rule):
+            def __getattribute__(self, name):
+                reads.append(id(self))
+                return super().__getattribute__(name)
+
+        examined = []
+        apply = AdversaryScript.apply
+
+        def counted_apply(self, *copy):
+            reads.clear()
+            out = apply(self, *copy)
+            examined.append(len(set(reads)))
+            return out
+
+        monkeypatch.setattr(AdversaryScript, "apply", counted_apply)
+        late = [f"r{j}" for j in range(10, 201, 10)]
+        script = AdversaryScript(tuple(
+            CountedRule(action="delay", kind="forward", sender=rid, delta=20)
+            for rid in late))
+        t = run_round(Topology.fully_connected(200), SecurityParams.for_n(8, 32, 200),
+                      script, seed=1)
+        assert [rid for rid, v in t.outcomes.items()
+                if v is VerificationOutcome.TIMED_OUT] == late
+        assert len(examined) == 400
+        # a scan of all 20 rules per forward copy would read 4000
+        assert sum(examined) <= len(examined) + len(late)
+
+
 # one receiver's fate in stage 3: (broadcast, forward); a dropped broadcast
 # leaves nothing to forward
 FATES = [(b, f) for b in ("genuine", "tampered")
@@ -591,10 +700,10 @@ def count_queue_calls(monkeypatch):
     pushed = {}
     push, advance = EventQueue.push, EventQueue.advance
 
-    def counted_push(self, at, kind, sender, payload):
+    def counted_push(self, at, rank, sender, payload):
         calls["push"] += 1
         pushed[payload[0]] = pushed.get(payload[0], 0) + 1
-        return push(self, at, kind, sender, payload)
+        return push(self, at, rank, sender, payload)
 
     def counted_advance(self):
         calls["advance"] += 1
@@ -646,9 +755,9 @@ class PerCopyRunner(netsim._RoundRunner):
         for rid in self.top.receiver_ids:
             out, extra = self.script.apply("broadcast", netsim.SIGNER, rid, self.bundle)
             if out is not None:
-                queue.push(1 + extra, EventKind.DELIVER, netsim.SIGNER,
+                queue.push(1 + extra, DELIVER, netsim.SIGNER,
                            ("broadcast", [(rid, out)]))
-        queue.push(self.top.deadline, EventKind.DEADLINE_FIRE, netsim.ARBITRATOR,
+        queue.push(self.top.deadline, DEADLINE_FIRE, netsim.ARBITRATOR,
                    ("deadline", [(netsim.ARBITRATOR, None)]))
         while queue:
             at, _, sender, _, (kind, [(receiver, body)]) = queue.advance()
@@ -672,7 +781,7 @@ class PerCopyRunner(netsim._RoundRunner):
                                      VerificationOutcome.TIMED_OUT))
         for rid in self.top.receiver_ids:
             if rid in self.packets:
-                self.queue.push(at + 1, EventKind.DELIVER, netsim.ARBITRATOR,
+                self.queue.push(at + 1, DELIVER, netsim.ARBITRATOR,
                                 ("key-release", [(rid, self.session)]))
 
 
